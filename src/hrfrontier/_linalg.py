@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefiniteError
 
@@ -34,7 +33,3 @@ def spd_factor(matrix: np.ndarray, *, name: str = "gram matrix") -> np.ndarray:
         )
     return lower
 
-
-def spd_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` given the lower Cholesky factor of ``A``."""
-    return scipy.linalg.cho_solve((lower, True), rhs)

@@ -23,11 +23,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import spd_factor, spd_solve
+from ._linalg import spd_factor
 from .errors import (
     ArbitrageError,
     DegenerateFrontierError,
     InternalInvariantError,
+    InvalidInputError,
 )
 from .market import ARBITRAGE_TOL, GramMarket
 
@@ -38,23 +39,6 @@ DEGENERATE_X_TOL = 1e-14
 VARIANCE_CLAMP_TOL = 1e-12
 #: The frontier ratio bound is attained only when the mean of y is nonzero.
 MEAN_Y_ZERO_TOL = 1e-12
-
-
-class YPortfolio(NamedTuple):
-    weights: np.ndarray
-    mean: float
-    second_moment: float
-
-
-class XPortfolio(NamedTuple):
-    weights: np.ndarray
-    hr_sq: float
-
-
-class ZPortfolio(NamedTuple):
-    weights: np.ndarray
-    mean: float
-    variance: float
 
 
 @dataclass(frozen=True)
@@ -148,44 +132,10 @@ class HansenBoundReport:
     passed: bool
 
 
-def solve_y(market: GramMarket) -> YPortfolio:
-    """Minimum-second-moment unit-cost portfolio."""
-    lower = spd_factor(market.gram)
-    gi_p = spd_solve(lower, market.prices)
-    p_gi_p = float(market.prices @ gi_p)
-    weights = gi_p / p_gi_p
-    return YPortfolio(
-        weights=weights,
-        mean=float(market.means @ weights),
-        second_moment=1.0 / p_gi_p,
-    )
-
-
-def solve_x(market: GramMarket) -> XPortfolio:
-    """Utility-optimal zero-cost portfolio and its squared ratio."""
-    lower = spd_factor(market.gram)
-    return _solve_x_factored(market, lower)
-
-
-def _solve_x_factored(market: GramMarket, lower: np.ndarray) -> XPortfolio:
-    gi_p = spd_solve(lower, market.prices)
-    gi_m = spd_solve(lower, market.means)
-    lam = float(market.prices @ gi_m) / float(market.prices @ gi_p)
-    weights = gi_m - lam * gi_p
-    hr_sq = float(market.means @ weights)
-    if hr_sq < 0.0:
-        if hr_sq < -VARIANCE_CLAMP_TOL:
-            raise InternalInvariantError(
-                "squared ratio of the zero-cost optimum came out negative",
-                hr_sq_x=hr_sq,
-            )
-        hr_sq = 0.0
-    if hr_sq >= 1.0 - ARBITRAGE_TOL:
-        raise ArbitrageError(
-            "zero-cost opportunity with (numerically) riskless payoff",
-            hr_sq_x=hr_sq,
-        )
-    return XPortfolio(weights=weights, hr_sq=hr_sq)
+def _unclamped_variance(omega_sq_y: float, hr_sq_y: float, hr_sq_x: float) -> float:
+    """Variance of z before clamping: negative beyond dust only when
+    ``hr_sq_x + hr_sq_y`` exceeds one."""
+    return omega_sq_y * (1.0 - hr_sq_y / (1.0 - hr_sq_x))
 
 
 def _z_stats(
@@ -197,7 +147,7 @@ def _z_stats(
             "zero-cost squared ratio too close to one", hr_sq_x=hr_sq_x
         )
     mu_z = mu_y / (1.0 - hr_sq_x)
-    sigma_sq_z = omega_sq_y * (1.0 - hr_sq_y / (1.0 - hr_sq_x))
+    sigma_sq_z = _unclamped_variance(omega_sq_y, hr_sq_y, hr_sq_x)
     if sigma_sq_z < 0.0:
         if sigma_sq_z < -VARIANCE_CLAMP_TOL:
             raise InternalInvariantError(
@@ -207,38 +157,72 @@ def _z_stats(
     return mu_z, sigma_sq_z
 
 
-def solve_z(market: GramMarket) -> ZPortfolio:
-    """Minimum-variance unit-cost portfolio, built from y and x."""
-    sp = special_portfolios(market)
-    return ZPortfolio(weights=sp.w_z, mean=sp.mu_z, variance=sp.sigma_sq_z)
-
-
 def special_portfolios(market: GramMarket) -> SpecialPortfolios:
-    """Solve all three special portfolios off one factorization."""
+    """Solve all three special portfolios off one factorization.
+
+    This is the market's only solve.  The result is memoized on the market,
+    which is frozen with read-only arrays, so the memo cannot go stale; its
+    weight arrays are read-only too.
+    """
+    memo = market.__dict__.get("_special_portfolios")
+    if memo is not None:
+        return memo
     lower = spd_factor(market.gram)
-    gi_p = spd_solve(lower, market.prices)
+
+    def gram_inverse(rhs: np.ndarray) -> np.ndarray:
+        # Forward then back substitution, one right-hand side at a time.
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+
+    gi_p = gram_inverse(market.prices)
+    gi_m = gram_inverse(market.means)
     p_gi_p = float(market.prices @ gi_p)
     w_y = gi_p / p_gi_p
     omega_sq_y = 1.0 / p_gi_p
     mu_y = float(market.means @ w_y)
     hr_sq_y = mu_y * mu_y / omega_sq_y
-    x = _solve_x_factored(market, lower)
-    mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, x.hr_sq)
-    w_z = w_y + mu_z * x.weights
+    w_x = gi_m - (float(market.prices @ gi_m) / p_gi_p) * gi_p
+    hr_sq_x = float(market.means @ w_x)
+    if hr_sq_x < 0.0:
+        if hr_sq_x < -VARIANCE_CLAMP_TOL:
+            raise InternalInvariantError(
+                "squared ratio of the zero-cost optimum came out negative",
+                hr_sq_x=hr_sq_x,
+            )
+        hr_sq_x = 0.0
+    if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
+        raise ArbitrageError(
+            "market admits a (numerically) riskless zero-cost profit",
+            hr_sq_x=hr_sq_x,
+        )
+    # The projection of the unit payoff onto the market has squared norm
+    # hr_sq_x + hr_sq_y, at most one; a hand-written Gram matrix can break
+    # that.  The test is the one _z_stats clamps on, so the two agree.
+    if _unclamped_variance(omega_sq_y, hr_sq_y, hr_sq_x) < -VARIANCE_CLAMP_TOL:
+        raise InvalidInputError(
+            "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
+            hr_sq_x=hr_sq_x,
+            hr_sq_y=hr_sq_y,
+        )
+    mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x)
+    w_z = w_y + mu_z * w_x
+    for weights in (w_y, w_x, w_z):
+        weights.flags.writeable = False
     scale = max(1.0, float(np.linalg.norm(market.means) * np.linalg.norm(w_y)))
-    return SpecialPortfolios(
+    memo = SpecialPortfolios(
         w_y=w_y,
-        w_x=x.weights,
+        w_x=w_x,
         w_z=w_z,
         mu_y=mu_y,
         omega_sq_y=omega_sq_y,
         hr_sq_y=hr_sq_y,
-        hr_sq_x=x.hr_sq,
+        hr_sq_x=hr_sq_x,
         mu_z=mu_z,
         sigma_sq_z=sigma_sq_z,
         lambda_hat=mu_z,
         max_hr_attained=abs(mu_y) > MEAN_Y_ZERO_TOL * scale,
     )
+    object.__setattr__(market, "_special_portfolios", memo)
+    return memo
 
 
 def _parabolas(

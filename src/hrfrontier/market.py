@@ -17,15 +17,15 @@ from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import spd_factor, spd_solve
+from ._linalg import spd_factor
 from .errors import (
-    ArbitrageError,
     DegeneratePricesError,
+    HRFrontierError,
     InvalidBetaError,
     InvalidHorizonError,
     InvalidInputError,
+    NotPositiveDefiniteError,
     StateSpaceMismatchError,
 )
 from .moments import ScenarioPayoff
@@ -79,6 +79,7 @@ class GramMarket:
     scenario distributions on one common state space; statewise operations
     (kernel construction, trees) require it.  ``meta`` carries
     builder-specific diagnostics such as truncation errors.
+    ``special_portfolios`` memoizes the market's one solve on the instance.
     """
 
     gram: np.ndarray
@@ -148,32 +149,41 @@ class GramMarket:
 def validate_market(market: GramMarket) -> None:
     """Deep validation: positive definiteness, scenario consistency, no free lunch.
 
+    Positive definiteness, the no-free-lunch test (the best squared mean/L2
+    ratio at zero cost stays below one) and the feasibility of the moments
+    all come from the market's one solve, ``special_portfolios``; scenario
+    consistency is reported after the first and before the others.
+
     Builders call this before returning; hand-rolled ``GramMarket`` instances
     can be checked explicitly.
     """
-    lower = spd_factor(market.gram)
-    if market.scenario_basis is not None:
-        q = market.state_probabilities
-        vals = market.scenario_values
-        gram_direct = (vals * q[:, None]).T @ vals
-        means_direct = q @ vals
-        scale = max(1.0, float(np.abs(market.gram).max()))
-        if float(np.abs(gram_direct - market.gram).max()) > SCENARIO_CONSISTENCY_TOL * scale:
-            raise InvalidInputError(
-                "gram matrix disagrees with scenario expectations"
-            )
-        if float(np.abs(means_direct - market.means).max()) > SCENARIO_CONSISTENCY_TOL * scale:
-            raise InvalidInputError(
-                "mean vector disagrees with scenario expectations"
-            )
-    # No free lunch: the best squared mean/L2 ratio at zero cost stays below 1.
-    gi_m = spd_solve(lower, market.means)
-    gi_p = spd_solve(lower, market.prices)
-    hr_sq_x = float(market.means @ gi_m - (market.prices @ gi_m) ** 2 / (market.prices @ gi_p))
-    if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
-        raise ArbitrageError(
-            "market admits a (numerically) riskless zero-cost profit",
-            hr_sq_x=hr_sq_x,
+    from .frontier import special_portfolios  # frontier imports this module
+
+    try:
+        special_portfolios(market)
+    except NotPositiveDefiniteError:
+        raise
+    except HRFrontierError:
+        _check_scenario_consistency(market)
+        raise
+    _check_scenario_consistency(market)
+
+
+def _check_scenario_consistency(market: GramMarket) -> None:
+    if market.scenario_basis is None:
+        return
+    q = market.state_probabilities
+    vals = market.scenario_values
+    gram_direct = (vals * q[:, None]).T @ vals
+    means_direct = q @ vals
+    scale = max(1.0, float(np.abs(market.gram).max()))
+    if float(np.abs(gram_direct - market.gram).max()) > SCENARIO_CONSISTENCY_TOL * scale:
+        raise InvalidInputError(
+            "gram matrix disagrees with scenario expectations"
+        )
+    if float(np.abs(means_direct - market.means).max()) > SCENARIO_CONSISTENCY_TOL * scale:
+        raise InvalidInputError(
+            "mean vector disagrees with scenario expectations"
         )
 
 
@@ -236,10 +246,11 @@ def scenario_universe(universe: AssetUniverse) -> GramMarket:
     needed but only (means, covariance) are known.
     """
     n = universe.n
-    n_states = 2
-    while n_states < n + 1:
-        n_states *= 2
-    signs = scipy.linalg.hadamard(n_states)[1 : n + 1, :]
+    hadamard = np.ones((1, 1))
+    while hadamard.shape[0] < n + 1:  # Sylvester's construction
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    n_states = hadamard.shape[0]
+    signs = hadamard[1 : n + 1, :]
     lower = spd_factor(universe.covariance, name="covariance matrix")
     values = (universe.mean_returns[:, None] + lower @ signs).T
     probs = np.full(n_states, 1.0 / n_states)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InternalInvariantError,
@@ -255,7 +254,8 @@ def monotone_hj_bound(
         raise NotAKernelError("kernel has zero mean")
     kernel_ratio = kernel_stats.variance / kernel_stats.mean**2
 
-    null_basis = scipy.linalg.null_space(market.prices[None, :])
+    # Orthonormal basis of the zero-cost subspace {w : p.w = 0}.
+    null_basis = np.linalg.svd(market.prices[None, :])[2][1:].T
     zero_cost_vals = values @ null_basis  # state x direction-dim
     dim = null_basis.shape[1]
 

@@ -27,7 +27,7 @@ from hrfrontier import (
     stats,
     tree_oracle,
 )
-from hrfrontier.benchmark import benchmark_market
+from hrfrontier.benchmark import benchmark_market, verification_report
 from conftest import random_market, random_payoff, random_scenario_market
 
 # ---------------------------------------------------------------------------
@@ -105,6 +105,34 @@ def _exact_one_period_oracle() -> dict[str, Fraction]:
         "hr_sq_y": mu_y * mu_y / omega_sq_y,
         "hr_sq_x": mu_omega_mu - one_omega_mu**2 / one_omega_one,
         "hr_sq_x_plus_hr_sq_y": mu_omega_mu,
+    }
+
+
+def _exact_verify_oracle() -> dict[str, Fraction]:
+    """Exact value of every ``verify`` row: the one-period oracle propagated
+    over the benchmark horizon in closed form."""
+    one = _exact_one_period_oracle()
+    n = 4
+    mu_y = one["mu_y"] ** n
+    omega_sq_y = one["omega_sq_y"] ** n
+    hr_sq_y = one["hr_sq_y"] ** n
+    hr_sq_x = one["hr_sq_x"] * sum(one["hr_sq_y"] ** t for t in range(n))
+    mu_z = mu_y / (1 - hr_sq_x)
+    sigma_sq_z = omega_sq_y * (1 - hr_sq_y / (1 - hr_sq_x))
+    return {
+        **one,
+        "multiperiod_hr_sq_x": hr_sq_x,
+        "multiperiod_mu_y": mu_y,
+        "multiperiod_omega_sq_y": omega_sq_y,
+        "multiperiod_mu_z": mu_z,
+        "multiperiod_sigma_sq_z": sigma_sq_z,
+        "multiperiod_sr_inv_sq_x": 1 / hr_sq_x - 1,
+        "frontier_omega_level": omega_sq_y,
+        "frontier_omega_curvature": 1 / hr_sq_x,
+        "frontier_omega_center": mu_y,
+        "frontier_sigma_level": sigma_sq_z,
+        "frontier_sigma_curvature": 1 / hr_sq_x - 1,
+        "frontier_sigma_center": mu_z,
     }
 
 
@@ -187,6 +215,20 @@ def test_criterion_2_four_period_benchmark_regression():
     # away in relative terms.  The 1e-5 gate cannot be met for that constant
     # by any correct implementation; it is reported honestly here.
     _report("2", failures, f"{elapsed:.3f}s")
+
+
+def test_every_verify_row_is_within_1e13_of_its_exact_value():
+    exact = _exact_verify_oracle()
+    report = verification_report()
+    assert len(report["values"]) == len(exact) == 18
+    distances = {
+        row["name"]: abs(row["computed"] - float(exact[row["name"]]))
+        / abs(float(exact[row["name"]]))
+        for row in report["values"]
+    }
+    worst = max(distances, key=distances.get)
+    print(f"\nworst verify row vs exact: {worst} {distances[worst]:.2e}")
+    assert distances[worst] <= 1e-13, distances
 
 
 def test_criterion_3_worked_ratio_examples():

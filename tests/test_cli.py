@@ -107,6 +107,20 @@ class TestFrontierCommand:
         assert json.loads(err)["code"] == "arbitrage_detected"
 
 
+INFEASIBLE_GRAM = {"kind": "gram", "G": [[1.25, 0.0], [0.0, 2.0]], "m": [1.1, 1.0], "p": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "argv", [("frontier",), ("multiperiod", "--periods", "1000000")]
+)
+def test_infeasible_gram_market_is_invalid_input(capsys, tmp_path, argv):
+    # m' G^-1 m = 1.468 > 1: no payoff space holds these moments (sigma_sq_z < 0).
+    path = tmp_path / "infeasible.json"
+    path.write_text(json.dumps(INFEASIBLE_GRAM))
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
 class TestMultiperiodCommand:
     def test_four_period_report(self, capsys, market_file):
         code, out, _ = run_cli(

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,16 +10,20 @@ from hrfrontier import (
     ArbitrageError,
     DegenerateFrontierError,
     GramMarket,
+    InvalidInputError,
     ScenarioPayoff,
     check_hansen_bound,
+    check_kernel,
     frontier_coefficients,
     frontier_points,
     gram_from_scenarios,
-    solve_x,
-    solve_y,
-    solve_z,
+    hj_bounds,
+    kernel_frontier,
+    multiperiod_frontier,
+    propagate,
     special_portfolios,
     stats,
+    tree_oracle,
 )
 from conftest import random_market, random_scenario_market
 
@@ -32,18 +39,18 @@ BENCH_MU_Z = 1.153991671227661
 
 class TestBenchmarkMarket:
     def test_y_portfolio(self, benchmark_market):
-        y = solve_y(benchmark_market)
-        assert y.second_moment == pytest.approx(BENCH_OMEGA_SQ_Y, rel=1e-12)
-        assert y.mean == pytest.approx(BENCH_MU_Y, rel=1e-12)
-        assert y.mean / y.second_moment == pytest.approx(0.8523142336558923, rel=1e-12)
+        sp = special_portfolios(benchmark_market)
+        assert sp.omega_sq_y == pytest.approx(BENCH_OMEGA_SQ_Y, rel=1e-12)
+        assert sp.mu_y == pytest.approx(BENCH_MU_Y, rel=1e-12)
+        assert sp.mu_y / sp.omega_sq_y == pytest.approx(0.8523142336558923, rel=1e-12)
 
     def test_x_portfolio(self, benchmark_market):
-        x = solve_x(benchmark_market)
-        assert x.hr_sq == pytest.approx(BENCH_HR_SQ_X, rel=1e-12)
+        sp = special_portfolios(benchmark_market)
+        assert sp.hr_sq_x == pytest.approx(BENCH_HR_SQ_X, rel=1e-12)
 
     def test_z_portfolio(self, benchmark_market):
-        z = solve_z(benchmark_market)
-        assert z.mean == pytest.approx(BENCH_MU_Z, rel=1e-10)
+        sp = special_portfolios(benchmark_market)
+        assert sp.mu_z == pytest.approx(BENCH_MU_Z, rel=1e-10)
 
     def test_hansen_bound_report(self, benchmark_market):
         report = check_hansen_bound(special_portfolios(benchmark_market))
@@ -58,15 +65,15 @@ class TestRiskFreeMarket:
         return gram_from_scenarios([ScenarioPayoff(((1.0, 1.0),))], [1.0])
 
     def test_y_is_the_unit_payoff(self, market):
-        y = solve_y(market)
-        assert y.weights[0] == pytest.approx(1.0, abs=1e-15)
-        assert y.second_moment == pytest.approx(1.0, abs=1e-15)
-        assert y.mean == pytest.approx(1.0, abs=1e-15)
+        sp = special_portfolios(market)
+        assert sp.w_y[0] == pytest.approx(1.0, abs=1e-15)
+        assert sp.omega_sq_y == pytest.approx(1.0, abs=1e-15)
+        assert sp.mu_y == pytest.approx(1.0, abs=1e-15)
 
     def test_x_is_null(self, market):
-        x = solve_x(market)
-        assert x.hr_sq == 0.0
-        assert abs(x.weights[0]) < 1e-15
+        sp = special_portfolios(market)
+        assert sp.hr_sq_x == 0.0
+        assert abs(sp.w_x[0]) < 1e-15
 
     def test_z_equals_y(self, market):
         sp = special_portfolios(market)
@@ -92,7 +99,7 @@ class TestOracles:
         rng = np.random.default_rng(21)
         for _ in range(20):
             market = random_market(rng, 2)
-            y = solve_y(market)
+            sp = special_portfolios(market)
             # Brute force on the unit-cost line p.w = 1.
             p = market.prices
             base = p / (p @ p)
@@ -101,8 +108,8 @@ class TestOracles:
             weights = base[None, :] + ts[:, None] * direction[None, :]
             norms = np.einsum("ij,jk,ik->i", weights, market.gram, weights)
             best = weights[np.argmin(norms)]
-            assert np.abs(best - y.weights).max() < 1e-3
-            assert y.second_moment <= norms.min() + 1e-12
+            assert np.abs(best - sp.w_y).max() < 1e-3
+            assert sp.omega_sq_y <= norms.min() + 1e-12
 
     def test_x_matches_sphere_grid(self):
         rng = np.random.default_rng(22)
@@ -110,21 +117,21 @@ class TestOracles:
 
         for _ in range(10):
             market = random_market(rng, 3)
-            x = solve_x(market)
+            sp = special_portfolios(market)
             null = scipy.linalg.null_space(market.prices[None, :])  # 3 x 2
             angles = np.linspace(0.0, math.pi, 20001)
             dirs = null @ np.vstack([np.cos(angles), np.sin(angles)])
             means = market.means @ dirs
             seconds = np.einsum("ji,jk,ki->i", dirs, market.gram, dirs)
             hr_sq = means**2 / seconds
-            assert hr_sq.max() <= x.hr_sq + 1e-10
-            assert hr_sq.max() == pytest.approx(x.hr_sq, abs=1e-6)
+            assert hr_sq.max() <= sp.hr_sq_x + 1e-10
+            assert hr_sq.max() == pytest.approx(sp.hr_sq_x, abs=1e-6)
 
     def test_z_matches_constrained_minimizer(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             market = random_market(rng, 4)
-            z = solve_z(market)
+            sp = special_portfolios(market)
             # KKT system for min w'(G - mm')w subject to p'w = 1.
             cov = market.gram - np.outer(market.means, market.means)
             kkt = np.zeros((5, 5))
@@ -133,8 +140,8 @@ class TestOracles:
             kkt[4, :4] = market.prices
             solution = np.linalg.solve(kkt, np.array([0, 0, 0, 0, 1.0]))
             w_direct = solution[:4]
-            assert np.abs(w_direct - z.weights).max() < 1e-8
-            assert z.variance == pytest.approx(
+            assert np.abs(w_direct - sp.w_z).max() < 1e-8
+            assert sp.sigma_sq_z == pytest.approx(
                 float(w_direct @ cov @ w_direct), rel=1e-8, abs=1e-12
             )
 
@@ -144,9 +151,9 @@ class TestOracles:
             means=np.array([0.5, 0.5]),
             prices=np.array([1.0, 1.0]),
         )
-        x = solve_x(market)
-        assert x.hr_sq == 0.0
-        assert np.abs(x.weights).max() < 1e-14
+        sp = special_portfolios(market)
+        assert sp.hr_sq_x == 0.0
+        assert np.abs(sp.w_x).max() < 1e-14
 
 
 def test_arbitrage_detected_in_hand_built_market():
@@ -154,7 +161,7 @@ def test_arbitrage_detected_in_hand_built_market():
         gram=np.eye(2), means=np.array([0.0, 1.0]), prices=np.array([1.0, 0.0])
     )
     with pytest.raises(ArbitrageError):
-        solve_x(market)
+        special_portfolios(market)
 
 
 def test_unattained_maximum_flag():
@@ -165,6 +172,66 @@ def test_unattained_maximum_flag():
     assert sp.mu_y == pytest.approx(0.0, abs=1e-15)
     assert not sp.max_hr_attained
 
+
+def test_feasibility_check_agrees_with_the_variance_clamp():
+    # Scale the means across the boundary m' G^-1 m = hr_sq_x + hr_sq_y = 1.
+    gram = np.diag([1.25, 2.0])
+    means = np.array([1.1, 1.0]) / math.sqrt(1.468)
+    outcomes = set()
+    for scale in np.linspace(1.0 - 1e-11, 1.0 + 1e-11, 201):
+        market = GramMarket(gram=gram, means=scale * means, prices=np.ones(2))
+        try:
+            sp = special_portfolios(market)
+        except InvalidInputError:
+            outcomes.add("rejected")
+            continue
+        outcomes.add("solved")
+        multiperiod_frontier(propagate(sp, 1))
+    assert outcomes == {"rejected", "solved"}
+
+
+class TestSingleSolve:
+    def test_scenario_pipeline_factorizes_the_gram_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        rng = np.random.default_rng(51)
+        probs = np.full(4, 0.25)
+        values = rng.uniform(-0.5, 2.0, (4, 3))
+        basis = [ScenarioPayoff.from_arrays(probs, values[:, i]) for i in range(3)]
+        market = gram_from_scenarios(basis, (probs * [0.6, 1.2, 0.9, 1.1]) @ values)
+        special_portfolios(market)
+        hj_bounds(market)
+        family = kernel_frontier(market)
+        check_kernel(family.kernel(0.5), market)
+        tree_oracle(market, 2)
+        assert calls == [(3, 3)]
+
+    def test_memoized_weights_are_read_only(self, benchmark_market):
+        sp = special_portfolios(benchmark_market)
+        assert special_portfolios(benchmark_market) is sp
+        for weights in (sp.w_y, sp.w_x, sp.w_z):
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+    def test_cli_import_leaves_scipy_out(self):
+        import hrfrontier
+
+        src = os.path.dirname(os.path.dirname(hrfrontier.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, hrfrontier.cli; print('scipy' in sys.modules)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 class TestRandomMarketInvariants:
     def test_structural_identities(self):
