@@ -174,32 +174,16 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
         base_mean = float(q @ base_vals)
         base_second = float(q @ (base_vals * base_vals))
         eta_star = (v_mean / v_second) * (base_second / base_mean)
-        _verify_eta_star(q, base_vals, v_vals, eta_star)
+        # With E[base v] = 0, HR^2(base + eta v) = (a + eta b)^2 / (c + eta^2 f)
+        # (means a, b; second moments c, f) peaks exactly at eta = bc/(af).
+        cross = float(q @ (base_vals * v_vals))
+        if abs(cross) > 1e-10 * max(1.0, math.sqrt(base_second * v_second)):
+            raise InternalInvariantError(
+                "kernel base is not orthogonal to the direction", inner_product=cross
+            )
     return KernelFrontier(
         base=base, direction=direction, hr_sq_direction=hr_sq_v, eta_star=eta_star
     )
-
-
-def _verify_eta_star(
-    q: np.ndarray, base_vals: np.ndarray, v_vals: np.ndarray, eta_star: float
-) -> None:
-    """Grid-check that no nearby eta beats the closed-form optimum."""
-
-    def hr_sq(eta: float) -> float:
-        vals = base_vals + eta * v_vals
-        second = float(q @ (vals * vals))
-        mean = float(q @ vals)
-        return mean * mean / second if second > 0 else 0.0
-
-    best = hr_sq(eta_star)
-    span = max(1.0, abs(eta_star))
-    for eta in np.linspace(eta_star - span, eta_star + span, 41):
-        if hr_sq(float(eta)) > best + 1e-9 * max(1.0, best):
-            raise InternalInvariantError(
-                "grid search beat the closed-form optimal eta",
-                eta_star=eta_star,
-                eta=float(eta),
-            )
 
 
 def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:

@@ -61,6 +61,8 @@ class AssetUniverse:
             raise InvalidInputError(
                 "covariance shape does not match means", shape=list(cov.shape), n=n
             )
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise InvalidInputError("mean returns and covariance must be finite")
         scale = max(1.0, float(np.abs(cov).max()))
         if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
             raise InvalidInputError("covariance matrix is not symmetric")
@@ -103,6 +105,8 @@ class GramMarket:
             raise InvalidInputError(
                 "means/prices must match the gram matrix size", n=n
             )
+        if not all(np.isfinite(a).all() for a in (gram, means, prices)):
+            raise InvalidInputError("gram matrix, means and prices must be finite")
         scale = max(1.0, float(np.abs(gram).max()))
         if float(np.abs(gram - gram.T).max()) > 1e-12 * scale:
             raise InvalidInputError("gram matrix is not symmetric")
@@ -283,6 +287,8 @@ class DatedFlows:
             raise InvalidInputError(
                 "cash-flow rows must match the number of states", date=self.date
             )
+        if not all(math.isfinite(v) for row in vals for v in row):
+            raise InvalidInputError("cash flows must be finite", date=self.date)
 
 
 @dataclass(frozen=True)
@@ -377,6 +383,15 @@ def gram_from_sequence_space(
     return market
 
 
+def _float_array(data: Mapping[str, Any], name: str) -> np.ndarray:
+    try:
+        return np.asarray(data[name], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(
+            "market field is not a numeric array", field=name, error=str(exc)
+        ) from None
+
+
 def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
     """Load a market from a JSON file or an already-parsed mapping.
 
@@ -400,15 +415,15 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
     try:
         if kind == "universe":
             universe = AssetUniverse(
-                mean_returns=np.asarray(data["mu"], dtype=float),
-                covariance=np.asarray(data["sigma"], dtype=float),
+                mean_returns=_float_array(data, "mu"),
+                covariance=_float_array(data, "sigma"),
             )
             return gram_from_universe(universe)
         if kind == "gram":
             market = GramMarket(
-                gram=np.asarray(data["G"], dtype=float),
-                means=np.asarray(data["m"], dtype=float),
-                prices=np.asarray(data["p"], dtype=float),
+                gram=_float_array(data, "G"),
+                means=_float_array(data, "m"),
+                prices=_float_array(data, "p"),
             )
             validate_market(market)
             return market
@@ -426,7 +441,7 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
                 horizon=int(data.get("horizon", 64)),
                 flows=flows,
             )
-            return gram_from_sequence_space(spec, np.asarray(data["prices"], dtype=float))
+            return gram_from_sequence_space(spec, _float_array(data, "prices"))
     except KeyError as exc:
         raise InvalidInputError(
             "market JSON is missing a required field", kind=kind, field=str(exc)

@@ -8,6 +8,10 @@ scan: between consecutive distinct outcomes the clipped moments are smooth in
 constant, so only finitely many candidates exist.  The optimal cap satisfies
 the first-order condition ``E[W; aW <= 1] = a E[W^2; aW <= 1]`` at
 ``a = 1/k``, which doubles as a built-in verification.
+
+Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the
+monotonized utility ``u``; ``monotone_hj_bound`` solves that concave program
+exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from .moments import ScenarioPayoff, stats
 
 #: Residual of the truncation first-order condition permitted at the optimum.
 FOC_TOL = 1e-10
+#: Newton steps after which the zero-cost maximization is reported as stuck.
+_NEWTON_STEPS = 50
+#: States this close above the bliss point still count as below it.
+_KINK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,9 +67,9 @@ class MonotoneResult:
         }
 
 
-def monotonized_utility(x: float) -> float:
-    """Quadratic utility flattened beyond its bliss point at 1."""
-    c = min(x, 1.0)
+def monotonized_utility(x):
+    """Quadratic utility flattened beyond its bliss point at 1 (elementwise)."""
+    c = np.minimum(x, 1.0)
     return c - 0.5 * c * c
 
 
@@ -174,19 +182,12 @@ def monotone_hansen_ratio(
     )
 
 
-def monotone_sharpe_ratio(
-    payoff: ScenarioPayoff, *, allow_no_downside: bool = False
-) -> float | None:
-    """Monotone Sharpe ratio; ``None`` when infinite (no-downside limit)."""
-    return monotone_hansen_ratio(payoff, allow_no_downside=allow_no_downside).msr
-
-
 @dataclass(frozen=True)
 class MonotoneBoundReport:
     """Kernel bound diagnostics under the nonnegativity constraint.
 
-    The supremum over zero-cost payoffs is approximated from below by a
-    direction sweep, so ``sup_mhr_sq``/``sup_msr_sq`` are lower bounds.
+    ``sup_mhr_sq``/``sup_msr_sq`` are the exact suprema of the squared
+    monotone ratios over the market's zero-cost payoffs.
     """
 
     sup_mhr_sq: float
@@ -196,8 +197,6 @@ class MonotoneBoundReport:
     mhr_bound: float
     mhr_ok: bool
     msr_ok: bool
-    directions_evaluated: int
-    directions_skipped: int
 
     def to_dict(self) -> dict:
         return {
@@ -208,24 +207,74 @@ class MonotoneBoundReport:
             "mhr_bound": self.mhr_bound,
             "mhr_ok": self.mhr_ok,
             "msr_ok": self.msr_ok,
-            "directions_evaluated": self.directions_evaluated,
-            "directions_skipped": self.directions_skipped,
         }
 
 
-def monotone_hj_bound(
-    market: GramMarket,
-    kernel: ScenarioPayoff,
-    *,
-    directions: int = 10_000,
-    refine_rounds: int = 3,
-    seed: int = 0,
-) -> MonotoneBoundReport:
-    """Check the nonnegative-kernel bounds against a direction sweep.
+def _line_max(q: np.ndarray, x: np.ndarray, dx: np.ndarray) -> float:
+    """Maximizer over ``t`` in [0, 1] of the concave, piecewise quadratic
+    ``E[u(x + t dx)]``, whose slope has a kink where a state crosses 1."""
+    slack = 1.0 - x
+    below = slack > 0.0
+    cross = np.flatnonzero(np.where(below, dx > 0.0, dx < 0.0))
+    at = slack[cross] / dx[cross]
+    order = np.argsort(at)[: np.count_nonzero(at < 1.0)]
+    cross, at = cross[order], at[order]
+    q_dx = q * dx
+    toggle = np.where(below[cross], -1.0, 1.0) * q_dx[cross]
+    # Between the k-th and the next crossing the slope is lin[k] - t * quad[k].
+    lin = np.cumsum(np.concatenate(([q_dx[below] @ slack[below]], toggle * slack[cross])))
+    quad = np.cumsum(np.concatenate(([q_dx[below] @ dx[below]], toggle * dx[cross])))
+    turned = lin - np.append(at, 1.0) * quad <= 0.0
+    if not turned.any():
+        return 1.0
+    k = int(np.argmax(turned))
+    return float(lin[k] / quad[k]) if lin[k] > 0.0 else 0.0
 
-    Sweeps unit directions of the zero-cost subspace (plus local refinement
-    around the best one), maximizing the monotone ratio, and verifies
-    ``sup MHR^2 <= 1 - HR^2(kernel)`` and
+
+def _sup_zero_cost_mhr_sq(q: np.ndarray, zero_cost: np.ndarray) -> float:
+    """``sup MHR^2`` of the payoffs ``x = zero_cost @ w``: ``2 max_w E[u(x)]``.
+
+    Active-set Newton from ``w = 0``; ``A`` holds the states below the bliss
+    point, plus those within ``_KINK_TOL`` above it so that rounding cannot
+    flip a state that sits on the kink at the optimum.  A full step that keeps
+    ``A`` is the maximizer; any other step is cut by an exact line search.
+    The optimum is certified by its first-order condition and by strong
+    duality with the nonnegative kernel ``m = (1 - x)^+``:
+    ``2 E[u(x)] = 1 - HR^2(m)``.
+    """
+    x = np.zeros(zero_cost.shape[0])
+    root_q = np.sqrt(q)
+    for _ in range(_NEWTON_STEPS):
+        active = x < 1.0 + _KINK_TOL
+        # (Z_A' diag(q_A) Z_A) s = Z_A' q_A (1 - x_A) in least-squares form;
+        # it is singular when few states are active.
+        rows = root_q[active, None] * zero_cost[active]
+        step = np.linalg.lstsq(rows, root_q[active] * (1.0 - x[active]), rcond=None)[0]
+        dx = zero_cost @ step
+        if np.array_equal(x + dx < 1.0 + _KINK_TOL, active):
+            x = x + dx  # the quadratic model held along the full step
+            break
+        x = x + _line_max(q, x, dx) * dx
+    else:
+        raise InternalInvariantError("active-set Newton did not settle")
+    sup_sq = 2.0 * float(q @ monotonized_utility(x))
+    m_plus = np.maximum(1.0 - x, 0.0)
+    foc = float(np.abs((q * m_plus) @ zero_cost).max())
+    if foc > FOC_TOL * max(1.0, float(np.abs(zero_cost).max())):
+        raise InternalInvariantError(
+            "first-order condition violated at the zero-cost optimum", residual=foc
+        )
+    gap = sup_sq - (1.0 - float(q @ m_plus) ** 2 / float(q @ (m_plus * m_plus)))
+    if abs(gap) > 1e-12:
+        raise InternalInvariantError("duality gap at the zero-cost optimum", gap=gap)
+    return sup_sq
+
+
+def monotone_hj_bound(market: GramMarket, kernel: ScenarioPayoff) -> MonotoneBoundReport:
+    """Check the nonnegative-kernel bounds against the exact zero-cost supremum.
+
+    Maximizes the monotone ratio over the zero-cost subspace exactly and
+    verifies ``sup MHR^2 <= 1 - HR^2(kernel)`` and
     ``var(kernel)/mean(kernel)^2 >= sup MSR^2``.
     """
     if not market.is_scenario_backed:
@@ -256,54 +305,9 @@ def monotone_hj_bound(
 
     # Orthonormal basis of the zero-cost subspace {w : p.w = 0}.
     null_basis = np.linalg.svd(market.prices[None, :])[2][1:].T
-    zero_cost_vals = values @ null_basis  # state x direction-dim
-    dim = null_basis.shape[1]
-
-    probs = tuple(q)
-    evaluated = 0
-    skipped = 0
-    best_sq = 0.0
-
-    def try_direction(direction: np.ndarray) -> None:
-        nonlocal evaluated, skipped, best_sq
-        payoff_vals = zero_cost_vals @ direction
-        scale = float(np.abs(payoff_vals).max())
-        if scale <= 0.0:
-            skipped += 1
-            return
-        mean = math.fsum(p * v for p, v in zip(probs, payoff_vals))
-        if mean < 0.0:
-            payoff_vals = -payoff_vals
-            mean = -mean
-        if mean <= 1e-14 * scale or payoff_vals.min() >= 0.0:
-            skipped += 1
-            return
-        ratio, _cap = _solve_cap(probs, tuple(float(v) for v in payoff_vals))
-        evaluated += 1
-        if ratio * ratio > best_sq:
-            best_sq = ratio * ratio
-            best_direction[:] = direction
-
-    best_direction = np.zeros(dim)
-    if dim == 1:
-        try_direction(np.array([1.0]))
-    elif dim > 1:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((directions, dim))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        for row in raw:
-            try_direction(row)
-        # Shrinking local refinement around the best direction found.
-        for round_no in range(refine_rounds):
-            if not best_direction.any():
-                break
-            spread = 0.3 * 0.3**round_no
-            local = best_direction[None, :] + spread * rng.standard_normal(
-                (max(64, directions // 10), dim)
-            )
-            local /= np.linalg.norm(local, axis=1, keepdims=True)
-            for row in local:
-                try_direction(row)
+    best_sq = 0.0  # no zero-cost payoff at all
+    if null_basis.shape[1]:
+        best_sq = _sup_zero_cost_mhr_sq(q, values @ null_basis)
 
     sup_msr_sq = best_sq / (1.0 - best_sq) if best_sq < 1.0 else math.inf
     mhr_bound = 1.0 - kernel_hr_sq
@@ -315,6 +319,4 @@ def monotone_hj_bound(
         mhr_bound=mhr_bound,
         mhr_ok=best_sq <= mhr_bound + 1e-10,
         msr_ok=kernel_ratio >= sup_msr_sq - 1e-10,
-        directions_evaluated=evaluated,
-        directions_skipped=skipped,
     )

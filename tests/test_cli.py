@@ -121,6 +121,34 @@ def test_infeasible_gram_market_is_invalid_input(capsys, tmp_path, argv):
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "invalid_input"
 
+
+SEQUENCE_NAN = (
+    '{"kind": "sequence", "beta": 0.5, "horizon": 8, "prices": [1.0],'
+    ' "flows": [{"date": 1, "probabilities": [1.0], "values": [[NaN]]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "gram", "G": [[NaN]], "m": [1.0], "p": [1.0]}',
+        '{"kind": "gram", "G": [[1.25]], "m": [NaN], "p": [1.0]}',
+        SEQUENCE_NAN,
+        '{"kind": "gram", "G": [[Infinity]], "m": [1.0], "p": [1.0]}',
+        '{"kind": "universe", "mu": [Infinity], "sigma": [[0.04]]}',
+        '{"kind": "gram", "G": [[1.25, 0.0], [0.0]], "m": [1.1, 1.0], "p": [1.0, 1.0]}',
+        '{"kind": "universe", "mu": ["a"], "sigma": [[0.04]]}',
+    ],
+    ids=["nan-G", "nan-m", "nan-values", "inf-G", "inf-mu", "ragged-G", "text-mu"],
+)
+def test_non_finite_or_malformed_numbers_are_invalid_input(capsys, tmp_path, text):
+    path = tmp_path / "market.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "frontier", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
 class TestMultiperiodCommand:
     def test_four_period_report(self, capsys, market_file):
         code, out, _ = run_cli(

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from hrfrontier import (
+    HRFrontierError,
     NegativeKernelError,
     NoDownsideError,
     NonPositiveMeanError,
     NotAKernelError,
     ScenarioPayoff,
     gram_from_scenarios,
+    kernel_frontier,
     monotone_hansen_ratio,
     monotone_hj_bound,
-    monotone_sharpe_ratio,
     monotonized_utility,
+    special_portfolios,
     stats,
 )
-from conftest import random_payoff, random_scenario_market
+from conftest import random_payoff, random_probs, random_scenario_market
 
 PROBS = (1 / 6, 1 / 2, 1 / 3)
 W_VALUES = (-0.01, 0.01, 0.02)
@@ -66,7 +68,7 @@ class TestExamplePayoffs:
         assert result.mhr == pytest.approx(stats(pay).hansen, abs=1e-12)
 
     def test_monotone_sharpe_values(self):
-        assert monotone_sharpe_ratio(payoff(W_IMPROVED)) ** 2 == pytest.approx(
+        assert monotone_hansen_ratio(payoff(W_IMPROVED)).msr ** 2 == pytest.approx(
             1.0, abs=1e-12
         )
         plain = stats(payoff(W_IMPROVED))
@@ -192,6 +194,21 @@ def example_kernel(t: float) -> ScenarioPayoff:
     return ScenarioPayoff.from_arrays(PROBS, (3.0 + 10.0 * t, 1.0 - 4.0 * t, t))
 
 
+def bound_of_priced_market(probs, kernel_vals, values):
+    """Market of the payoff columns of ``values``, priced by ``kernel_vals``,
+    and its checked monotone kernel bound; ``(None, None)`` if collinear."""
+    basis = [ScenarioPayoff.from_arrays(probs, col) for col in values.T]
+    try:
+        market = gram_from_scenarios(basis, (probs * kernel_vals) @ values)
+    except HRFrontierError:
+        return None, None
+    report = monotone_hj_bound(market, ScenarioPayoff.from_arrays(probs, kernel_vals))
+    assert report.mhr_ok and report.msr_ok
+    # The monotone supremum is never below the plain one.
+    assert report.sup_mhr_sq >= special_portfolios(market).hr_sq_x - 1e-12
+    return market, report
+
+
 class TestMonotoneKernelBound:
     def test_example_market_variance_floor_is_one(self):
         market = example_market()
@@ -241,7 +258,7 @@ class TestMonotoneKernelBound:
             kernel = frontier.kernel(frontier.eta_star)
             if min(kernel.values) < 0.0:
                 continue
-            report = monotone_hj_bound(market, kernel, directions=2000)
+            report = monotone_hj_bound(market, kernel)
             assert report.mhr_ok
             assert report.msr_ok
 
@@ -258,11 +275,78 @@ class TestMonotoneKernelBound:
             kernel = frontier.kernel(frontier.eta_star)
             if min(kernel.values) < 0.0:
                 continue
-            report = monotone_hj_bound(market, kernel, directions=2000)
-            assert report.directions_evaluated > 0
+            report = monotone_hj_bound(market, kernel)
+            # The monotone supremum is never below the plain one.
+            assert report.sup_mhr_sq >= special_portfolios(market).hr_sq_x - 1e-12
             assert report.mhr_ok and report.msr_ok
             exercised += 1
         assert exercised > 0
+
+    def test_exact_supremum_beats_a_numerical_optimizer(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(74)
+        truncation_gains = 0
+        for _ in range(12):
+            n_states = int(rng.integers(6, 20))
+            n_assets = int(rng.integers(2, 5))
+            probs = random_probs(rng, n_states)
+            # A skewed kernel makes the best zero-cost payoffs worth truncating.
+            kernel_vals = rng.uniform(0.0, 1.0, n_states) ** 3 * 3.0
+            values = np.column_stack(
+                [np.ones(n_states), rng.uniform(-0.5, 2.0, (n_states, n_assets - 1))]
+            )
+            market, report = bound_of_priced_market(probs, kernel_vals, values)
+            if market is None:
+                continue
+            zero_cost = values @ np.linalg.svd(market.prices[None, :])[2][1:].T
+
+            def neg_utility(w):
+                return -float(probs @ monotonized_utility(zero_cost @ w))
+
+            def neg_gradient(w):
+                return -(probs * np.maximum(1.0 - zero_cost @ w, 0.0)) @ zero_cost
+
+            oracle = optimize.minimize(
+                neg_utility, np.zeros(n_assets - 1), jac=neg_gradient, method="BFGS"
+            )
+            assert report.sup_mhr_sq >= -2.0 * oracle.fun - 1e-12
+            if report.sup_mhr_sq > special_portfolios(market).hr_sq_x + 1e-6:
+                truncation_gains += 1
+        assert truncation_gains > 0
+
+    def test_kernels_that_vanish_on_some_states(self):
+        # Zero-cost lotteries that pay only where the kernel is zero put the
+        # optimum on the bliss point in several states at once.
+        rng = np.random.default_rng(76)
+        for _ in range(40):
+            n_states = int(rng.integers(3, 9))
+            n_priced = int(rng.integers(1, n_states))
+            kernel_vals = np.zeros(n_states)
+            kernel_vals[:n_priced] = rng.uniform(0.1, 3.0, n_priced)
+            lotteries = np.zeros((n_states, int(rng.integers(1, n_states - n_priced + 1))))
+            lotteries[n_priced:] = rng.choice([0.0, 0.5, 1.0, 2.0], lotteries[n_priced:].shape)
+            risky = rng.uniform(-1.0, 2.0, (n_states, int(rng.integers(0, n_priced + 1))))
+            values = np.column_stack([np.ones(n_states), lotteries, risky])
+            bound_of_priced_market(random_probs(rng, n_states), kernel_vals, values)
+
+    def test_payoffs_on_a_coarse_grid(self):
+        # Ties between states can make full Newton steps cycle between two
+        # active sets; the line search has to break the cycle.
+        rng = np.random.default_rng(79)
+        for _ in range(100):
+            n_states = int(rng.integers(4, 12))
+            n_assets = int(rng.integers(2, n_states))
+            kernel_vals = rng.uniform(0.0, 1.0, n_states) ** 3 * 3.0
+            grid = rng.integers(-2, 9, (n_states, n_assets - 1)) / 4
+            values = np.column_stack([np.ones(n_states), grid])
+            bound_of_priced_market(random_probs(rng, n_states), kernel_vals, values)
+
+    def test_bound_is_deterministic(self):
+        rng = np.random.default_rng(75)
+        market = random_scenario_market(rng, 12, 4)
+        frontier = kernel_frontier(market)
+        kernel = frontier.kernel(frontier.eta_star)
+        assert monotone_hj_bound(market, kernel) == monotone_hj_bound(market, kernel)
 
     def test_negative_kernel_rejected(self):
         market = example_market()
