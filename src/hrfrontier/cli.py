@@ -7,7 +7,7 @@ regression).  Reports are deterministic: fixed key order and shortest
 round-trip float formatting.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal invariant
-violation (including a failed ``verify``).
+violation, unexpected error (``internal_error``) or a failed ``verify``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass
+import traceback
 from typing import Any, Sequence
 
 import numpy as np
@@ -35,42 +36,6 @@ from .market import market_from_json
 from .moments import ScenarioPayoff
 from .monotone import monotone_hansen_ratio
 from .multiperiod import multiperiod_frontier, propagate
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    lo: float
-    hi: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 2:
-            raise InvalidInputError("grid needs at least two points", count=self.count)
-        if not self.hi > self.lo:
-            raise InvalidInputError("grid upper bound must exceed the lower bound")
-
-    def points(self) -> list[float]:
-        return [float(x) for x in np.linspace(self.lo, self.hi, self.count)]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its inputs, outputs, and knobs."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    points_csv: str | None = None
-    grid: GridSpec | None = None
-    periods: int = 1
-    renormalize: bool = False
-    allow_no_downside: bool = False
-    prob_tol: float = 1e-12
-    rel_tol: float = benchmark.DEFAULT_REL_TOL
-
-    def __post_init__(self) -> None:
-        if self.prob_tol <= 0 or self.rel_tol <= 0:
-            raise InvalidInputError("tolerances must be positive")
 
 
 class _UsageError(Exception):
@@ -149,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_grid(text: str | None) -> GridSpec | None:
+def _grid_points(text: str | None) -> list[float] | None:
     if text is None:
         return None
     parts = text.split(":")
@@ -159,23 +124,23 @@ def _parse_grid(text: str | None) -> GridSpec | None:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InvalidInputError("could not parse grid spec", grid=text) from None
-    return GridSpec(lo=lo, hi=hi, count=count)
+    if count < 2:
+        raise InvalidInputError("grid needs at least two points", count=count)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise InvalidInputError("grid upper bound must exceed the lower bound")
+    return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse the command line, with the grid turned into its mean points."""
     args = build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        points_csv=getattr(args, "points_csv", None),
-        grid=_parse_grid(getattr(args, "grid", None)),
-        periods=getattr(args, "periods", 1),
-        renormalize=getattr(args, "renormalize", False),
-        allow_no_downside=getattr(args, "allow_no_downside", False),
-        prob_tol=getattr(args, "prob_tol", 1e-12),
-        rel_tol=getattr(args, "rel_tol", benchmark.DEFAULT_REL_TOL),
-    )
+    for name in ("prob_tol", "rel_tol"):
+        tol = getattr(args, name, 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise InvalidInputError("tolerances must be positive and finite", option=name)
+    if "grid" in args:
+        args.grid = _grid_points(args.grid)
+    return args
 
 
 def _emit(report: dict[str, Any], output_path: str | None) -> None:
@@ -187,23 +152,21 @@ def _emit(report: dict[str, Any], output_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_points(
-    coefficients: FrontierCoefficients, config: RunConfig
-) -> None:
-    if config.points_csv is None:
+def _write_points(coefficients: FrontierCoefficients, args: argparse.Namespace) -> None:
+    if args.points_csv is None:
         return
-    if config.grid is None:
+    if args.grid is None:
         raise InvalidInputError("--points-csv needs --grid MIN:MAX:COUNT")
-    points = frontier_points(coefficients, config.grid.points())
-    with open(config.points_csv, "w", newline="", encoding="utf-8") as handle:
+    points = frontier_points(coefficients, args.grid)
+    with open(args.points_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["mu", "omega", "sigma"])
         for point in points:
             writer.writerow([repr(point.mu), repr(point.omega), repr(point.sigma)])
 
 
-def _cmd_frontier(config: RunConfig) -> int:
-    market = market_from_json(config.input_path)
+def _cmd_frontier(args: argparse.Namespace) -> int:
+    market = market_from_json(args.input)
     sp = special_portfolios(market)
     coeffs = frontier_coefficients(sp)
     bound = check_hansen_bound(sp)
@@ -216,46 +179,46 @@ def _cmd_frontier(config: RunConfig) -> int:
             "pass": bound.passed,
         },
     }
-    _emit(report, config.output_path)
-    _write_points(coeffs, config)
+    _emit(report, args.output)
+    _write_points(coeffs, args)
     return 0
 
 
-def _cmd_multiperiod(config: RunConfig) -> int:
-    market = market_from_json(config.input_path)
+def _cmd_multiperiod(args: argparse.Namespace) -> int:
+    market = market_from_json(args.input)
     sp = special_portfolios(market)
-    stats_n = propagate(sp, config.periods)
+    stats_n = propagate(sp, args.periods)
     coeffs = multiperiod_frontier(stats_n)
     report = {
         "portfolios": sp.to_dict(),
         "multiperiod": stats_n.to_dict(),
         "frontier": coeffs.to_dict(),
     }
-    _emit(report, config.output_path)
-    _write_points(coeffs, config)
+    _emit(report, args.output)
+    _write_points(coeffs, args)
     return 0
 
 
-def _cmd_mhr(config: RunConfig) -> int:
+def _cmd_mhr(args: argparse.Namespace) -> int:
     payoff = ScenarioPayoff.from_csv(
-        config.input_path,
-        renormalize=config.renormalize,
-        sum_tol=config.prob_tol if config.renormalize else 1e-12,
+        args.input,
+        renormalize=args.renormalize,
+        sum_tol=args.prob_tol if args.renormalize else 1e-12,
     )
-    result = monotone_hansen_ratio(payoff, allow_no_downside=config.allow_no_downside)
-    _emit(result.to_dict(), config.output_path)
+    result = monotone_hansen_ratio(payoff, allow_no_downside=args.allow_no_downside)
+    _emit(result.to_dict(), args.output)
     return 0
 
 
-def _cmd_hj(config: RunConfig) -> int:
-    market = market_from_json(config.input_path)
-    _emit(hj_bounds(market).to_dict(), config.output_path)
+def _cmd_hj(args: argparse.Namespace) -> int:
+    market = market_from_json(args.input)
+    _emit(hj_bounds(market).to_dict(), args.output)
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    report = benchmark.verification_report(rel_tol=config.rel_tol)
-    _emit(report, config.output_path)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    report = benchmark.verification_report(rel_tol=args.rel_tol)
+    _emit(report, args.output)
     return 0 if report["all_pass"] else 2
 
 
@@ -268,10 +231,6 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
-
-
 def _error_json(code: str, message: str, context: dict[str, Any]) -> None:
     sys.stderr.write(
         json.dumps({"code": code, "message": message, "context": context}) + "\n"
@@ -281,8 +240,8 @@ def _error_json(code: str, message: str, context: dict[str, Any]) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = parse_config(argv)
-        return run(config)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _error_json("usage", str(exc), {})
         return 1
@@ -295,6 +254,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _error_json("io_error", str(exc), {})
         return 1
+    except Exception as exc:  # a bug: reported as one line of JSON, with where it arose
+        frames = traceback.extract_tb(exc.__traceback__)
+        frames = [f"{frame.filename}:{frame.lineno} {frame.name}" for frame in frames]
+        _error_json("internal_error", f"{type(exc).__name__}: {exc}", {"traceback": frames})
+        return 2
 
 
 if __name__ == "__main__":

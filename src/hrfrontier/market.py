@@ -81,7 +81,8 @@ class GramMarket:
     scenario distributions on one common state space; statewise operations
     (kernel construction, trees) require it.  ``meta`` carries
     builder-specific diagnostics such as truncation errors.
-    ``special_portfolios`` memoizes the market's one solve on the instance.
+    ``special_portfolios`` memoizes the market's one solve on the instance,
+    and the state arrays of a scenario basis are built once, read-only.
     """
 
     gram: np.ndarray
@@ -127,6 +128,9 @@ class GramMarket:
                     raise StateSpaceMismatchError(
                         "scenario payoffs do not share one state space"
                     )
+            values = np.column_stack([b.values for b in basis])
+            object.__setattr__(self, "_state_probabilities", _readonly(ref))
+            object.__setattr__(self, "_scenario_values", _readonly(values))
 
     @property
     def n(self) -> int:
@@ -138,16 +142,17 @@ class GramMarket:
 
     @property
     def state_probabilities(self) -> np.ndarray:
+        """Read-only state probabilities of the scenario basis."""
         if self.scenario_basis is None:
             raise InvalidInputError("market has no scenario basis")
-        return np.array(self.scenario_basis[0].probabilities)
+        return self._state_probabilities
 
     @property
     def scenario_values(self) -> np.ndarray:
-        """State-by-asset payoff matrix of the scenario basis."""
+        """Read-only state-by-asset payoff matrix of the scenario basis."""
         if self.scenario_basis is None:
             raise InvalidInputError("market has no scenario basis")
-        return np.column_stack([np.array(b.values) for b in self.scenario_basis])
+        return self._scenario_values
 
 
 def validate_market(market: GramMarket) -> None:
@@ -196,7 +201,8 @@ def gram_from_universe(universe: AssetUniverse) -> GramMarket:
 
     Prices are all one, so portfolio cost equals the sum of weights.
     """
-    gram = universe.covariance + np.outer(universe.mean_returns, universe.mean_returns)
+    with np.errstate(over="ignore"):  # an infinite Gram matrix is rejected below
+        gram = universe.covariance + np.outer(universe.mean_returns, universe.mean_returns)
     market = GramMarket(
         gram=gram,
         means=universe.mean_returns,
@@ -392,6 +398,13 @@ def _float_array(data: Mapping[str, Any], name: str) -> np.ndarray:
         ) from None
 
 
+def _whole(value: Any) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(number)
+
+
 def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
     """Load a market from a JSON file or an already-parsed mapping.
 
@@ -428,19 +441,21 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
             validate_market(market)
             return market
         if kind == "sequence":
-            flows = tuple(
-                DatedFlows(
-                    date=int(entry["date"]),
-                    probabilities=tuple(entry["probabilities"]),
-                    values=tuple(tuple(row) for row in entry["values"]),
+            try:
+                flows = tuple(
+                    DatedFlows(
+                        date=_whole(entry["date"]),
+                        probabilities=tuple(entry["probabilities"]),
+                        values=tuple(tuple(row) for row in entry["values"]),
+                    )
+                    for entry in data["flows"]
                 )
-                for entry in data["flows"]
-            )
-            spec = SequenceSpaceSpec(
-                beta=float(data["beta"]),
-                horizon=int(data.get("horizon", 64)),
-                flows=flows,
-            )
+                beta, horizon = float(data["beta"]), _whole(data.get("horizon", 64))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(
+                    "malformed sequence market", error=str(exc)
+                ) from None
+            spec = SequenceSpaceSpec(beta=beta, horizon=horizon, flows=flows)
             return gram_from_sequence_space(spec, _float_array(data, "prices"))
     except KeyError as exc:
         raise InvalidInputError(

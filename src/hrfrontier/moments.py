@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, OutOfRangeError, ZeroPayoffError
 
@@ -161,15 +162,22 @@ def stats(payoff: ScenarioPayoff) -> RatioStats:
     """Exact probability-weighted moments and both performance ratios.
 
     Raises ZeroPayoffError for the identically-zero payoff (the ratios are
-    undefined when the L2 norm vanishes).
+    undefined when the L2 norm vanishes) and InvalidInputError when the
+    moments are not normal floating-point numbers.
     """
-    probs = payoff.probabilities
     vals = payoff.values
-    second = math.fsum(p * v * v for p, v in payoff.states)
-    if second == 0.0:
+    if not any(vals):
         raise ZeroPayoffError("payoff is zero in every state")
-    mean = math.fsum(p * v for p, v in payoff.states)
-    if min(vals) == max(vals):
+    risk_free = min(vals) == max(vals)
+    try:
+        second = math.fsum(p * v * v for p, v in payoff.states)
+        mean = math.fsum(p * v for p, v in payoff.states)
+        variance = 0.0 if risk_free else math.fsum(p * (v - mean) ** 2 for p, v in payoff.states)
+    except OverflowError:
+        second = math.inf
+    if not (sys.float_info.min <= second < math.inf and (risk_free or variance > 0.0)):
+        raise InvalidInputError("payoff moments overflow or underflow floating point")
+    if risk_free:
         # Risk-free: zero variance by definition, ratio exactly +-1.
         return RatioStats(
             mean=mean,
@@ -178,7 +186,6 @@ def stats(payoff: ScenarioPayoff) -> RatioStats:
             hansen=math.copysign(1.0, vals[0]),
             sharpe=None,
         )
-    variance = math.fsum(p * (v - mean) ** 2 for p, v in payoff.states)
     hansen = mean / math.sqrt(second)
     sharpe = mean / math.sqrt(variance)
     return RatioStats(
@@ -202,30 +209,3 @@ def sr_to_hr(sr: float) -> float:
     if not math.isfinite(sr):
         raise OutOfRangeError("Sharpe ratio must be finite", sr=sr)
     return sr / math.sqrt(1.0 + sr * sr)
-
-
-def quadratic_utility(payoff: ScenarioPayoff) -> float:
-    """Expected quadratic utility ``mean - second_moment / 2``."""
-    mean = math.fsum(p * v for p, v in payoff.states)
-    second = math.fsum(p * v * v for p, v in payoff.states)
-    return mean - 0.5 * second
-
-
-class ScaledUtility(NamedTuple):
-    value: float
-    alpha: float
-
-
-def optimal_scaled_utility(payoff: ScenarioPayoff) -> ScaledUtility:
-    """Best quadratic utility over all scalings of the payoff.
-
-    The optimum is ``hansen**2 / 2`` at scale ``mean / second_moment``; a
-    zero-mean payoff is best left untouched (value 0 at scale 0).
-    """
-    ratios = stats(payoff)
-    if ratios.mean == 0.0:
-        return ScaledUtility(0.0, 0.0)
-    return ScaledUtility(
-        0.5 * ratios.hansen * ratios.hansen,
-        ratios.mean / ratios.second_moment,
-    )

@@ -2,20 +2,23 @@
 
 The plain mean/L2-norm ratio can fall when a payoff is improved statewise.
 Its monotone hull fixes this: discard surplus above a cap ``k`` and take the
-best cap.  For discrete payoffs the optimum is found exactly by a segment
-scan: between consecutive distinct outcomes the clipped moments are smooth in
-``k`` and the stationary point ``k* = E[W^2; W <= k] / E[W; W <= k]`` is
-constant, so only finitely many candidates exist.  The optimal cap satisfies
-the first-order condition ``E[W; aW <= 1] = a E[W^2; aW <= 1]`` at
-``a = 1/k``, which doubles as a built-in verification.
+best cap.  With the monotonized utility ``u(x) = x - x^2/2`` capped at its
+bliss point ``u(1) = 1/2``, ``MHR^2(W) = 2 max_a E[u(aW)]`` and the best cap
+is ``1/a``.  That objective is concave and piecewise quadratic along the ray
+of scalings, so one exact line search finds the kept states ``{aW <= 1}``;
+the cap ``k = E[W^2; aW <= 1] / E[W; aW <= 1]`` and the ratio then come from
+compensated sums over them.  The cap satisfies the first-order condition
+``E[W; aW <= 1] = a E[W^2; aW <= 1]`` at ``a = 1/k``, which doubles as a
+built-in verification.
 
-Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the
-monotonized utility ``u``; ``monotone_hj_bound`` solves that concave program
-exactly.
+Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the same
+utility; ``monotone_hj_bound`` solves that concave program exactly with an
+active-set Newton method that uses the same line search.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .kernel import PRICING_TOL
 from .market import GramMarket
-from .moments import ScenarioPayoff, stats
+from .moments import ScenarioPayoff, hr_to_sr, stats
 
 #: Residual of the truncation first-order condition permitted at the optimum.
 FOC_TOL = 1e-10
@@ -39,6 +42,8 @@ FOC_TOL = 1e-10
 _NEWTON_STEPS = 50
 #: States this close above the bliss point still count as below it.
 _KINK_TOL = 1e-12
+#: Longest ray searched for the best scaling, so that ``E[(a U)^2]`` stays finite.
+_RAY_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -73,54 +78,25 @@ def monotonized_utility(x):
     return c - 0.5 * c * c
 
 
-def _clipped_ratio(probs, values, cap: float) -> float:
-    """Mean over L2 norm of the payoff clipped at ``cap``."""
-    mean = math.fsum(p * min(v, cap) for p, v in zip(probs, values))
-    second = math.fsum(p * min(v, cap) ** 2 for p, v in zip(probs, values))
-    return mean / math.sqrt(second)
-
-
-def _solve_cap(probs, values) -> tuple[float, float]:
-    """Return ``(best_ratio, best_cap)`` for a payoff with positive mean and
-    strictly negative downside.
-
-    Scans the segments between distinct positive outcomes; within each, the
-    candidate cap is the ratio of the clipped second moment to the clipped
-    mean, accepted when it lands inside the segment.
-    """
-    positive = sorted({v for v in values if v > 0.0})
-    included = [(p, v) for p, v in zip(probs, values) if v <= 0.0]
-
-    candidates: list[tuple[float, float]] = []  # (ratio, cap)
-    for idx in range(len(positive) + 1):
-        if idx:
-            level = positive[idx - 1]
-            included += [(p, v) for p, v in zip(probs, values) if v == level]
-        lo = positive[idx - 1] if idx else 0.0
-        hi = positive[idx] if idx < len(positive) else math.inf
-        clipped_mean = math.fsum(p * v for p, v in included)
-        if clipped_mean <= 0.0:
-            continue
-        clipped_second = math.fsum(p * v * v for p, v in included)
-        cap = clipped_second / clipped_mean
-        # A root that is mathematically on a segment boundary can round an
-        # ulp off it; snap so both segments agree on the same candidate.
-        if math.isfinite(hi) and abs(cap - hi) <= 1e-12 * hi:
-            cap = hi
-        elif lo > 0.0 and abs(cap - lo) <= 1e-12 * lo:
-            cap = lo
-        if lo <= cap <= hi:
-            tail = math.fsum(p for p, v in zip(probs, values) if v > lo)
-            mean_at = clipped_mean + cap * tail
-            second_at = clipped_second + cap * cap * tail
-            candidates.append((mean_at / math.sqrt(second_at), cap))
-    if not candidates:
-        raise InternalInvariantError(
-            "no stationary cap found for the truncation problem"
-        )
-    best_ratio = max(r for r, _ in candidates)
-    best_cap = min(c for r, c in candidates if r == best_ratio)
-    return best_ratio, best_cap
+def _stationary_cap(states, lo: float, hi: float) -> tuple[float, float] | None:
+    """``(ratio, cap)`` of the payoff capped at ``E[W^2; W <= lo] / E[W; W <= lo]``,
+    or ``None`` unless that cap lies in ``[lo, hi]``."""
+    kept = [(p, v) for p, v in states if v <= lo]
+    mean = math.fsum(p * v for p, v in kept)
+    if mean <= 0.0:
+        return None
+    second = math.fsum(p * v * v for p, v in kept)
+    cap = second / mean
+    # A cap that is mathematically on an end can round an ulp off it; snap it
+    # there so that both segments sharing that end agree on it.
+    if math.isfinite(hi) and abs(cap - hi) <= 1e-12 * hi:
+        cap = hi
+    elif lo > 0.0 and abs(cap - lo) <= 1e-12 * lo:
+        cap = lo
+    if not lo <= cap <= hi:
+        return None
+    tail = math.fsum(p for p, v in states if v > lo)
+    return (mean + cap * tail) / math.sqrt(second + cap * cap * tail), cap
 
 
 def monotone_hansen_ratio(
@@ -138,7 +114,6 @@ def monotone_hansen_ratio(
         raise NonPositiveMeanError(
             "monotone ratio needs a strictly positive mean", mean=ratios.mean
         )
-    probs = payoff.probabilities
     values = payoff.values
     if min(values) >= 0.0:
         if allow_no_downside:
@@ -154,7 +129,34 @@ def monotone_hansen_ratio(
             "payoff has no downside: the supremum 1 is not attained"
         )
 
-    best_ratio, best_cap = _solve_cap(probs, values)
+    # Best scaling a of the ray a U, U = W/max(W): below 1/min{U > 0}, where
+    # every gain is capped, and below 1/sqrt(E[U^2; U < 0]) by the first-order
+    # condition a E[U^2; K] = E[U; K] <= 1/a on the kept states K.  A ray cut
+    # at _RAY_LIMIT that still rises at its end has every gain above
+    # 1/_RAY_LIMIT capped at the optimum: cap them there and search again.
+    q, w = np.array(payoff.probabilities), np.array(values)
+    u = w / w.max()
+    while True:
+        loss = -u.min()
+        loss *= math.sqrt(q[u < 0.0] @ (u[u < 0.0] / loss) ** 2)
+        top = min(1.0 / float(u[u > 0.0].min()), 1.0 / loss, _RAY_LIMIT)
+        dx = top * u
+        with np.errstate(over="ignore"):  # crossings far beyond the ray's end
+            t = _line_max(q, np.zeros_like(q), dx)
+        if t < 1.0 or top < _RAY_LIMIT:
+            break
+        u = np.minimum(dx, 1.0)
+    # The kept states {t dx <= 1} put the cap between two consecutive gains, up
+    # to rounding at the ends; the exact moments decide between that segment
+    # and its neighbours.  A cap on a gain is stationary in both segments that
+    # share it, and the larger ratio wins.
+    levels = sorted({v for v in values if v > 0.0})
+    j = bisect.bisect_right(levels, float(w[t * dx <= 1.0].max()))
+    ends = [0.0, *levels, math.inf][max(j - 1, 0) : j + 3]
+    found = [c for lo, hi in zip(ends, ends[1:]) if (c := _stationary_cap(payoff.states, lo, hi))]
+    if not found:
+        raise InternalInvariantError("no stationary cap found for the truncation problem")
+    best_ratio, best_cap = max(found, key=lambda rc: (rc[0], -rc[1]))
     alpha_hat = 1.0 / best_cap
 
     # First-order condition at the reported cap ({alpha*W <= 1} == {W <= cap}).
@@ -175,7 +177,7 @@ def monotone_hansen_ratio(
         )
     return MonotoneResult(
         mhr=best_ratio,
-        msr=best_ratio / math.sqrt(1.0 - best_ratio * best_ratio),
+        msr=hr_to_sr(best_ratio) if best_ratio < 1.0 else None,
         k_hat=best_cap,
         alpha_hat=alpha_hat,
         truncated=best_cap < max(values),
@@ -215,16 +217,34 @@ def _line_max(q: np.ndarray, x: np.ndarray, dx: np.ndarray) -> float:
     ``E[u(x + t dx)]``, whose slope has a kink where a state crosses 1."""
     slack = 1.0 - x
     below = slack > 0.0
-    cross = np.flatnonzero(np.where(below, dx > 0.0, dx < 0.0))
+    cross = np.nonzero(np.where(below, dx > 0.0, dx < 0.0))[0]
     at = slack[cross] / dx[cross]
     order = np.argsort(at)[: np.count_nonzero(at < 1.0)]
     cross, at = cross[order], at[order]
+    # Up to the k-th crossing the slope is lin[k] - t * quad[k], summed over
+    # the states below 1 there: those below at the start that have not
+    # crossed yet and those above that have.  Each segment is summed afresh
+    # rather than by adding and removing crossings, and the slope at a
+    # crossing leaves out the states crossing right there (their terms
+    # vanish), so a state that crosses early cannot swamp the ones after it.
     q_dx = q * dx
-    toggle = np.where(below[cross], -1.0, 1.0) * q_dx[cross]
-    # Between the k-th and the next crossing the slope is lin[k] - t * quad[k].
-    lin = np.cumsum(np.concatenate(([q_dx[below] @ slack[below]], toggle * slack[cross])))
-    quad = np.cumsum(np.concatenate(([q_dx[below] @ dx[below]], toggle * dx[cross])))
-    turned = lin - np.append(at, 1.0) * quad <= 0.0
+    terms = np.array((q_dx * slack, q_dx * dx))
+    crossing = terms[:, cross]
+    leave = np.where(below[cross], crossing, 0.0)
+    sums = np.zeros((4, len(cross) + 1))
+    sums[:2, 1:] = leave[:, ::-1]
+    sums[2:, 1:] = crossing - leave
+    sums = sums.cumsum(axis=1)
+    later, earlier = sums[:2, ::-1], sums[2:]
+    stays = below.copy()
+    stays[cross] = False
+    base = terms[:, stays].sum(axis=1, keepdims=True)
+    ends = np.concatenate((at, [1.0]))
+    first = at.searchsorted(ends, "left")
+    before = base + earlier[:, first]
+    lin, quad = before + later[:, first]
+    lin_end, quad_end = before + later[:, at.searchsorted(ends, "right")]
+    turned = lin_end - ends * quad_end <= 0.0
     if not turned.any():
         return 1.0
     k = int(np.argmax(turned))

@@ -98,10 +98,16 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
             hr_sq_y=one_period.hr_sq_y,
         )
     gsum = _ratio_geometric_sum(one_period.hr_sq_y, horizon)
+    try:
+        mu_y, omega_sq_y = one_period.mu_y**horizon, one_period.omega_sq_y**horizon
+    except OverflowError:
+        raise InvalidInputError(
+            "n-period moments overflow floating point at this horizon", horizon=horizon
+        ) from None
     return MultiperiodStats(
         horizon=horizon,
-        mu_y=one_period.mu_y**horizon,
-        omega_sq_y=one_period.omega_sq_y**horizon,
+        mu_y=mu_y,
+        omega_sq_y=omega_sq_y,
         hr_sq_y=one_period.hr_sq_y**horizon,
         hr_sq_x=gsum * one_period.hr_sq_x,
     )

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hrfrontier
+import hrfrontier.cli
 from hrfrontier.cli import main
 from conftest import BENCHMARK_MU, BENCHMARK_SIGMA
 
@@ -122,6 +128,8 @@ def test_infeasible_gram_market_is_invalid_input(capsys, tmp_path, argv):
     assert json.loads(err)["code"] == "invalid_input"
 
 
+FLOW = '{"date": 1, "probabilities": [0.5, 0.5], "values": [[1.0, 2.0]]}'
+SEQUENCE = '{{"kind": "sequence", "beta": 0.5, "horizon": 8, "prices": [1.0], "flows": [{flow}]}}'
 SEQUENCE_NAN = (
     '{"kind": "sequence", "beta": 0.5, "horizon": 8, "prices": [1.0],'
     ' "flows": [{"date": 1, "probabilities": [1.0], "values": [[NaN]]}]}'
@@ -138,8 +146,20 @@ SEQUENCE_NAN = (
         '{"kind": "universe", "mu": [Infinity], "sigma": [[0.04]]}',
         '{"kind": "gram", "G": [[1.25, 0.0], [0.0]], "m": [1.1, 1.0], "p": [1.0, 1.0]}',
         '{"kind": "universe", "mu": ["a"], "sigma": [[0.04]]}',
+        SEQUENCE.format(flow=FLOW.replace("[[1.0, 2.0]]", "[1.0, 2.0]")),
+        SEQUENCE.format(flow=FLOW.replace('"date": 1', '"date": "x"')),
+        SEQUENCE.format(flow=FLOW.replace('"date": 1', '"date": 1.5')),
+        SEQUENCE.format(flow=FLOW.replace("[0.5, 0.5]", '["a", 0.5]')),
+        SEQUENCE.format(flow=FLOW).replace('"beta": 0.5', '"beta": "x"'),
+        SEQUENCE.format(flow=FLOW).replace('"horizon": 8', '"horizon": 3.7'),
+        SEQUENCE.format(flow=FLOW).replace("[" + FLOW + "]", FLOW),
+        '{"kind": "universe", "mu": [1e200, 1.0], "sigma": [[0.04, 0.0], [0.0, 0.04]]}',
     ],
-    ids=["nan-G", "nan-m", "nan-values", "inf-G", "inf-mu", "ragged-G", "text-mu"],
+    ids=[
+        "nan-G", "nan-m", "nan-values", "inf-G", "inf-mu", "ragged-G", "text-mu",
+        "flat-values", "text-date", "fractional-date", "text-probability",
+        "text-beta", "fractional-horizon", "object-flows", "huge-mu",
+    ],
 )
 def test_non_finite_or_malformed_numbers_are_invalid_input(capsys, tmp_path, text):
     path = tmp_path / "market.json"
@@ -147,6 +167,98 @@ def test_non_finite_or_malformed_numbers_are_invalid_input(capsys, tmp_path, tex
     code, out, err = run_cli(capsys, "frontier", "--input", str(path))
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "invalid_input"
+
+
+def test_well_formed_sequence_market_is_accepted(capsys, tmp_path):
+    # The malformed variants above differ from this input in one field each.
+    path = tmp_path / "market.json"
+    path.write_text(SEQUENCE.format(flow=FLOW))
+    code, out, err = run_cli(capsys, "frontier", "--input", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["portfolios"]["omega_sq_y"] > 0.0
+
+
+def test_stderr_is_one_json_line_when_moments_overflow(tmp_path):
+    # numpy reports the overflow as a RuntimeWarning on stderr unless it is
+    # caught, and then stderr is no longer pure JSON.
+    path = tmp_path / "market.json"
+    path.write_text('{"kind": "universe", "mu": [1e200, 1.0], "sigma": [[0.04, 0.0], [0.0, 0.04]]}')
+    src = Path(hrfrontier.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hrfrontier.cli", "frontier", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == "invalid_input"
+
+
+def test_huge_horizon_on_a_feasible_market_is_invalid_input(capsys, tmp_path):
+    # mu_y > 1 here, so mu_y**n overflows.
+    path = tmp_path / "market.json"
+    path.write_text(
+        json.dumps(
+            {"kind": "universe", "mu": BENCHMARK_MU[:2], "sigma": [r[:2] for r in BENCHMARK_SIGMA[:2]]}
+        )
+    )
+    code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", "1000000")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0.5,-1e300\n0.5,2e300\n", "0.5,-1e-170\n0.5,2e-170\n"],
+    ids=["huge-outcomes", "tiny-outcomes"],
+)
+def test_payoff_moments_outside_the_float_range_are_invalid_input(capsys, tmp_path, rows):
+    path = tmp_path / "payoff.csv"
+    path.write_text(rows)
+    code, out, err = run_cli(capsys, "mhr", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
+def test_monotone_ratio_that_rounds_to_one_has_no_sharpe_ratio(capsys, tmp_path):
+    path = tmp_path / "payoff.csv"
+    path.write_text("1e-20,-1e-20\n1.0,1.0\n")
+    code, out, _ = run_cli(capsys, "mhr", "--input", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["mhr"] == 1.0 and report["msr"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--rel-tol", "nan"),
+        ("verify", "--rel-tol", "0"),
+        ("mhr", "--renormalize", "--prob-tol", "nan"),
+        ("mhr", "--renormalize", "--prob-tol", "0"),
+    ],
+    ids=["nan-rel-tol", "zero-rel-tol", "nan-prob-tol", "zero-prob-tol"],
+)
+def test_bad_tolerances_are_invalid_input(capsys, scenario_file, argv):
+    if argv[0] == "mhr":
+        argv = (*argv, "--input", str(scenario_file))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, market_file):
+    def broken(market):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(hrfrontier.cli, "hj_bounds", broken)
+    code, out, err = run_cli(capsys, "hj", "--input", str(market_file))
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["code"] == "internal_error" and "boom" in report["message"]
+    assert "broken" in report["context"]["traceback"][-1]
 
 
 class TestMultiperiodCommand:

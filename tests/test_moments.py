@@ -11,8 +11,6 @@ from hrfrontier import (
     ScenarioPayoff,
     ZeroPayoffError,
     hr_to_sr,
-    optimal_scaled_utility,
-    quadratic_utility,
     sr_to_hr,
     stats,
 )
@@ -27,6 +25,23 @@ W_IMPROVED = (-0.01, 0.01, 0.11)
 
 def payoff(values=W_VALUES, probs=PROBS) -> ScenarioPayoff:
     return ScenarioPayoff.from_arrays(probs, values)
+
+
+def quadratic_utility(pay: ScenarioPayoff) -> float:
+    """Expected quadratic utility ``mean - second_moment / 2``."""
+    mean = math.fsum(p * v for p, v in pay.states)
+    second = math.fsum(p * v * v for p, v in pay.states)
+    return mean - 0.5 * second
+
+
+def optimal_scaled_utility(pay: ScenarioPayoff) -> tuple[float, float]:
+    """``(value, scale)`` of the best quadratic utility over all scalings: the
+    paper's identity puts it at ``hansen**2 / 2`` for the scale
+    ``mean / second_moment``; a zero-mean payoff is left unscaled."""
+    ratios = stats(pay)
+    if ratios.mean == 0.0:
+        return 0.0, 0.0
+    return 0.5 * ratios.hansen * ratios.hansen, ratios.mean / ratios.second_moment
 
 
 class TestScenarioPayoff:

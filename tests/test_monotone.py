@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hrfrontier import (
     special_portfolios,
     stats,
 )
+from hrfrontier import monotone
 from conftest import random_payoff, random_probs, random_scenario_market
 
 PROBS = (1 / 6, 1 / 2, 1 / 3)
@@ -374,3 +376,125 @@ class TestMonotoneKernelBound:
                 w = scale * zero_cost
                 utility = float(q @ (np.minimum(w, 1.0) - 0.5 * np.minimum(w, 1.0) ** 2))
                 assert utility <= cap + 1e-12
+
+
+def oracle_mhr(probs, values) -> float:
+    """Best clipped ratio over every candidate cap: each positive outcome and
+    each stationary cap ``E[W^2; W <= l] / E[W; W <= l]``, one of which is
+    optimal."""
+    q, w = np.asarray(probs), np.asarray(values)
+    order = np.argsort(w)
+    first, second = np.cumsum(q[order] * w[order]), np.cumsum(q[order] * w[order] ** 2)
+    levels = np.unique(w[w > 0.0])
+    last = np.searchsorted(w[order], levels, "right") - 1  # of the states <= each level
+    useful = first[last] > 0.0
+    caps = np.concatenate((levels, second[last][useful] / first[last][useful]))
+    best = 0.0
+    for chunk in np.array_split(caps, max(1, caps.size // 200)):
+        clipped = np.minimum(w[None, :], chunk[:, None])
+        best = max(best, float(((clipped @ q) / np.sqrt((clipped * clipped) @ q)).max()))
+    return best
+
+
+def engine_payoffs(seed: int, count: int, decades: float = 0.0):
+    """Seeded payoffs with a positive mean and some downside; every third one
+    on a 1/4 grid (ties and caps on outcomes), a few with up to 3000 states,
+    and with ``decades`` the outcomes' magnitudes spread over that many
+    powers of ten either way."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        sizes = [2, 3, 5, 8, 12, 32, 200] if made % 50 else [1400, 3000]
+        n_states = int(rng.choice(sizes))
+        if made % 3 == 0:
+            values = rng.integers(-4, 9, n_states) / 4
+        else:
+            values = rng.uniform(-1.0, 2.0, n_states)
+        values = values * 10.0 ** rng.uniform(-decades, decades, n_states)
+        probs = random_probs(rng, n_states)
+        if values.min() < 0.0 and probs @ values > 0.0:
+            made += 1
+            yield ScenarioPayoff.from_arrays(probs, values)
+
+
+#: Probabilities and outcomes at the ends of the float range, with the
+#: results of the segment scan this solver replaced.
+EDGE_PROBS = (0.2, 0.3, 0.5)
+EDGE_CASES = [
+    ((-1.0, 1e-300, 2.0), (0.5393598899705937, 0.6405126152203486, 2.75, False)),
+    ((-1.0, 5e-324, 2.0), (0.5393598899705937, 0.6405126152203486, 2.75, False)),
+    ((-1e-200, 1.0, 2.0), (0.894427190999916, 2.000000000000001, 1.0, True)),
+    ((-1.0, 1e-12, 1e12), (0.7071067811862647, 0.9999999999992001, 1e12, False)),
+    ((-1e-300, 1.0, 1e-320), (0.5477225575051662, 0.6546536707079772, 1.0, False)),
+    ((-1e-200, 1e-320, 2.0), (0.7071067811865475, 0.9999999999999999, 2.0, False)),
+]
+
+
+class TestTruncationEngine:
+    def test_matches_the_exact_oracle(self):
+        worst = 0.0
+        for pay in engine_payoffs(81, 510):
+            result = monotone_hansen_ratio(pay)
+            worst = max(worst, abs(result.mhr - oracle_mhr(pay.probabilities, pay.values)))
+        assert worst <= 1e-14
+
+    def test_matches_the_exact_oracle_across_300_decades(self):
+        # Caps up to 300 decades below the largest gain: the solver caps the
+        # gains above a ray's reach and searches again.
+        for pay in engine_payoffs(86, 300, decades=150.0):
+            result = monotone_hansen_ratio(pay)
+            assert result.mhr == pytest.approx(oracle_mhr(pay.probabilities, pay.values), abs=1e-14)
+
+    @pytest.mark.parametrize("values,expected", EDGE_CASES)
+    def test_outcomes_at_the_ends_of_the_float_range(self, values, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = monotone_hansen_ratio(ScenarioPayoff.from_arrays(EDGE_PROBS, values))
+        assert (result.mhr, result.msr, result.k_hat, result.truncated) == expected
+
+    def test_optimum_far_below_the_largest_gain(self):
+        # The cap sits 170 decades below the largest gain, past the longest
+        # ray one line search covers.
+        pay = ScenarioPayoff.from_arrays((0.3, 0.3, 0.2, 0.2), (-1e-60, 1e-50, 1e-45, 1e120))
+        result = monotone_hansen_ratio(pay)
+        assert result.k_hat == pytest.approx(1e-50, rel=1e-9) and result.truncated
+        assert result.mhr == pytest.approx(oracle_mhr(pay.probabilities, pay.values), abs=1e-14)
+
+    def test_one_line_search_per_payoff(self, monkeypatch):
+        calls = []
+        line_max = monotone._line_max
+
+        def counted(*args):
+            calls.append(1)
+            return line_max(*args)
+
+        monkeypatch.setattr(monotone, "_line_max", counted)
+        for count, pay in enumerate(engine_payoffs(82, 40), start=1):
+            monotone_hansen_ratio(pay)
+            assert len(calls) == count
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 7.0, 1e9])
+    def test_scaling_the_payoff_scales_the_cap(self, scale):
+        for pay in engine_payoffs(83, 60):
+            base = monotone_hansen_ratio(pay)
+            scaled = monotone_hansen_ratio(
+                ScenarioPayoff.from_arrays(pay.probabilities, np.array(pay.values) * scale)
+            )
+            assert scaled.mhr == pytest.approx(base.mhr, abs=1e-14)
+            assert scaled.truncated == base.truncated
+            assert scaled.k_hat == pytest.approx(base.k_hat * scale, rel=1e-14)
+
+    def test_permuting_the_states_changes_nothing(self):
+        rng = np.random.default_rng(84)
+        for pay in engine_payoffs(84, 60):
+            order = rng.permutation(len(pay.states))
+            permuted = ScenarioPayoff(tuple(pay.states[i] for i in order))
+            assert monotone_hansen_ratio(permuted) == monotone_hansen_ratio(pay)
+
+    def test_splitting_a_state_changes_nothing(self):
+        rng = np.random.default_rng(85)
+        for pay in engine_payoffs(85, 60):
+            i = int(rng.integers(len(pay.states)))
+            p, v = pay.states[i]
+            split = ScenarioPayoff(pay.states[:i] + ((p / 2, v), (p / 2, v)) + pay.states[i + 1 :])
+            assert monotone_hansen_ratio(split).mhr == monotone_hansen_ratio(pay).mhr
