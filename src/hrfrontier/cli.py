@@ -179,8 +179,8 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
             "pass": bound.passed,
         },
     }
+    _write_points(coeffs, args)  # a degenerate frontier fails before any output
     _emit(report, args.output)
-    _write_points(coeffs, args)
     return 0
 
 
@@ -194,8 +194,8 @@ def _cmd_multiperiod(args: argparse.Namespace) -> int:
         "multiperiod": stats_n.to_dict(),
         "frontier": coeffs.to_dict(),
     }
+    _write_points(coeffs, args)  # a degenerate frontier fails before any output
     _emit(report, args.output)
-    _write_points(coeffs, args)
     return 0
 
 
@@ -232,9 +232,13 @@ _COMMANDS = {
 
 
 def _error_json(code: str, message: str, context: dict[str, Any]) -> None:
-    sys.stderr.write(
-        json.dumps({"code": code, "message": message, "context": context}) + "\n"
-    )
+    # Strict JSON: non-finite numbers are spelled "nan", "inf" and "-inf".
+    context = {
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in context.items()
+    }
+    report = {"code": code, "message": message, "context": context}
+    sys.stderr.write(json.dumps(report, allow_nan=False, default=str) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

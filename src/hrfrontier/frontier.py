@@ -173,17 +173,25 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         # Forward then back substitution, one right-hand side at a time.
         return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
-    gi_p = gram_inverse(market.prices)
-    gi_m = gram_inverse(market.means)
-    p_gi_p = float(market.prices @ gi_p)
-    w_y = gi_p / p_gi_p
-    omega_sq_y = 1.0 / p_gi_p
-    mu_y = float(market.means @ w_y)
-    hr_sq_y = mu_y * mu_y / omega_sq_y
-    w_x = gi_m - (float(market.prices @ gi_m) / p_gi_p) * gi_p
-    hr_sq_x = float(market.means @ w_x)
+    with np.errstate(all="ignore"):  # a solve beyond the float range is rejected below
+        gi_p = gram_inverse(market.prices)
+        gi_m = gram_inverse(market.means)
+        p_gi_p = float(market.prices @ gi_p)
+        if 0.0 < p_gi_p < math.inf:
+            w_y = gi_p / p_gi_p
+            omega_sq_y = 1.0 / p_gi_p
+            mu_y = float(market.means @ w_y)
+            hr_sq_y = mu_y * mu_y / omega_sq_y
+            w_x = gi_m - (float(market.prices @ gi_m) / p_gi_p) * gi_p
+            hr_sq_x = float(market.means @ w_x)
+            # Finite ratios leave no inf or NaN in the weights they sum.
+            solved = all(map(math.isfinite, (omega_sq_y, hr_sq_y, hr_sq_x)))
+    if not (0.0 < p_gi_p < math.inf and solved):
+        raise InvalidInputError("the market's solve leaves the floating-point range")
     if hr_sq_x < 0.0:
-        if hr_sq_x < -VARIANCE_CLAMP_TOL:
+        # With hr_sq_y alone above one the feasibility test below rejects it.
+        feasible = _unclamped_variance(omega_sq_y, hr_sq_y, 0.0) >= -VARIANCE_CLAMP_TOL
+        if hr_sq_x < -VARIANCE_CLAMP_TOL and feasible:
             raise InternalInvariantError(
                 "squared ratio of the zero-cost optimum came out negative",
                 hr_sq_x=hr_sq_x,
@@ -207,7 +215,8 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     w_z = w_y + mu_z * w_x
     for weights in (w_y, w_x, w_z):
         weights.flags.writeable = False
-    scale = max(1.0, float(np.linalg.norm(market.means) * np.linalg.norm(w_y)))
+    # hypot neither overflows nor underflows where the plain norm would.
+    scale = max(1.0, math.hypot(*market.means.tolist()) * math.hypot(*w_y.tolist()))
     memo = SpecialPortfolios(
         w_y=w_y,
         w_x=w_x,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    HRFrontierError,
     InternalInvariantError,
     NotAKernelError,
     NotScenarioBackedError,
@@ -47,11 +48,9 @@ class KernelFrontier:
     eta_star: float | None
 
     def kernel(self, eta: float) -> ScenarioPayoff:
-        probs = self.base.probabilities
-        values = [
-            b + eta * d for b, d in zip(self.base.values, self.direction.values)
-        ]
-        return ScenarioPayoff.from_arrays(probs, values)
+        return ScenarioPayoff(
+            self.base.probabilities, self.base.values + eta * self.direction.values
+        )
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,26 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
     )
 
 
+def pricing_error_of(
+    kernel: ScenarioPayoff, market: GramMarket, mismatch: type[HRFrontierError]
+) -> float:
+    """Pricing error of a kernel: ``mismatch`` if it lives on other states,
+    NotAKernelError beyond ``PRICING_TOL`` relative to the price norm."""
+    q = market.state_probabilities
+    if not np.array_equal(kernel.probabilities, q):
+        raise mismatch("kernel is not defined on the market's state space")
+    implied = (q * kernel.values) @ market.scenario_values
+    pricing_error = float(np.linalg.norm(implied - market.prices))
+    tolerance = PRICING_TOL * float(np.linalg.norm(market.prices))
+    if pricing_error > tolerance:
+        raise NotAKernelError(
+            "candidate misprices the spanning payoffs",
+            pricing_error=pricing_error,
+            tolerance=tolerance,
+        )
+    return pricing_error
+
+
 def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
     """Validate a candidate kernel and test it against both bounds.
 
@@ -194,23 +213,7 @@ def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
     derivations presume exact pricing.
     """
     _require_scenarios(market, "kernel diagnostics")
-    assert market.scenario_basis is not None
-    if kernel.probabilities != market.scenario_basis[0].probabilities:
-        raise StateSpaceMismatchError(
-            "kernel is not defined on the market's state space"
-        )
-    q = market.state_probabilities
-    values = market.scenario_values
-    m_vals = np.array(kernel.values)
-    implied = (q * m_vals) @ values
-    pricing_error = float(np.linalg.norm(implied - market.prices))
-    price_norm = float(np.linalg.norm(market.prices))
-    if pricing_error > PRICING_TOL * price_norm:
-        raise NotAKernelError(
-            "candidate misprices the spanning payoffs",
-            pricing_error=pricing_error,
-            tolerance=PRICING_TOL * price_norm,
-        )
+    pricing_error = pricing_error_of(kernel, market, StateSpaceMismatchError)
     sp = special_portfolios(market)
     hr_bound = 1.0 - sp.hr_sq_x
     variance_bound = sp.hr_sq_x / hr_bound

@@ -4,13 +4,15 @@ A market is summarized by the inner products of its spanning payoffs, the
 "mean" functional (inner product with the unit payoff), and a price vector.
 The same container covers three constructions: an asset universe given by
 mean returns and a covariance matrix, an explicit list of scenario payoffs,
-and a discounted sequence space of dated cash flows.
+and a discounted sequence space of dated cash flows.  States are read-only
+arrays, and every Gram entry and mean is one compensated sum over them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -28,18 +30,12 @@ from .errors import (
     NotPositiveDefiniteError,
     StateSpaceMismatchError,
 )
-from .moments import ScenarioPayoff
+from .moments import ScenarioPayoff, check_states, moment_sums, readonly
 
 #: Solving is refused when the best zero-cost squared ratio reaches 1 - this.
 ARBITRAGE_TOL = 1e-10
 #: Scenario-backed Gram entries must match direct expectations this closely.
 SCENARIO_CONSISTENCY_TOL = 1e-10
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -50,8 +46,8 @@ class AssetUniverse:
     covariance: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = _readonly(np.atleast_1d(self.mean_returns))
-        cov = _readonly(np.atleast_2d(self.covariance))
+        mu = readonly(np.atleast_1d(self.mean_returns))
+        cov = readonly(np.atleast_2d(self.covariance))
         object.__setattr__(self, "mean_returns", mu)
         object.__setattr__(self, "covariance", cov)
         n = mu.shape[0]
@@ -77,24 +73,25 @@ class AssetUniverse:
 class GramMarket:
     """Market description: Gram matrix, mean functional, and prices.
 
-    ``scenario_basis`` is present when the spanning payoffs are explicit
-    scenario distributions on one common state space; statewise operations
-    (kernel construction, trees) require it.  ``meta`` carries
-    builder-specific diagnostics such as truncation errors.
-    ``special_portfolios`` memoizes the market's one solve on the instance,
-    and the state arrays of a scenario basis are built once, read-only.
+    A scenario market also holds its states, as the read-only arrays
+    ``state_probabilities`` (one per state) and ``scenario_values`` (one row
+    per state, one column per spanning payoff), checked like a payoff's;
+    statewise operations (kernel construction, trees) require them.  ``meta``
+    carries builder-specific diagnostics such as truncation errors.
+    ``special_portfolios`` memoizes the market's one solve on the instance.
     """
 
     gram: np.ndarray
     means: np.ndarray
     prices: np.ndarray
-    scenario_basis: tuple[ScenarioPayoff, ...] | None = None
+    state_probabilities: np.ndarray | None = None
+    scenario_values: np.ndarray | None = None
     meta: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        gram = _readonly(np.atleast_2d(self.gram))
-        means = _readonly(np.atleast_1d(self.means))
-        prices = _readonly(np.atleast_1d(self.prices))
+        gram = readonly(np.atleast_2d(self.gram))
+        means = readonly(np.atleast_1d(self.means))
+        prices = readonly(np.atleast_1d(self.prices))
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "prices", prices)
@@ -113,24 +110,17 @@ class GramMarket:
             raise InvalidInputError("gram matrix is not symmetric")
         if not np.any(prices):
             raise DegeneratePricesError("all prices are zero; no unit-cost payoff exists")
-        if self.scenario_basis is not None:
-            basis = tuple(self.scenario_basis)
-            object.__setattr__(self, "scenario_basis", basis)
-            if len(basis) != n:
+        if self.state_probabilities is not None or self.scenario_values is not None:
+            q, values = readonly(self.state_probabilities), readonly(self.scenario_values)
+            object.__setattr__(self, "state_probabilities", q)
+            object.__setattr__(self, "scenario_values", values)
+            if q.ndim != 1 or values.ndim != 2 or values.shape[1] != n:
                 raise InvalidInputError(
-                    "scenario basis length does not match gram size",
-                    basis=len(basis),
+                    "scenario market needs a probability vector and one value column per payoff",
+                    shape=list(values.shape),
                     n=n,
                 )
-            ref = basis[0].probabilities
-            for payoff in basis[1:]:
-                if payoff.probabilities != ref:
-                    raise StateSpaceMismatchError(
-                        "scenario payoffs do not share one state space"
-                    )
-            values = np.column_stack([b.values for b in basis])
-            object.__setattr__(self, "_state_probabilities", _readonly(ref))
-            object.__setattr__(self, "_scenario_values", _readonly(values))
+            check_states(q, values)
 
     @property
     def n(self) -> int:
@@ -138,21 +128,7 @@ class GramMarket:
 
     @property
     def is_scenario_backed(self) -> bool:
-        return self.scenario_basis is not None
-
-    @property
-    def state_probabilities(self) -> np.ndarray:
-        """Read-only state probabilities of the scenario basis."""
-        if self.scenario_basis is None:
-            raise InvalidInputError("market has no scenario basis")
-        return self._state_probabilities
-
-    @property
-    def scenario_values(self) -> np.ndarray:
-        """Read-only state-by-asset payoff matrix of the scenario basis."""
-        if self.scenario_basis is None:
-            raise InvalidInputError("market has no scenario basis")
-        return self._scenario_values
+        return self.state_probabilities is not None
 
 
 def validate_market(market: GramMarket) -> None:
@@ -179,7 +155,7 @@ def validate_market(market: GramMarket) -> None:
 
 
 def _check_scenario_consistency(market: GramMarket) -> None:
-    if market.scenario_basis is None:
+    if not market.is_scenario_backed:
         return
     q = market.state_probabilities
     vals = market.scenario_values
@@ -226,23 +202,15 @@ def gram_from_scenarios(
             prices=prices_arr.shape[0] if prices_arr.ndim == 1 else -1,
             basis=len(basis),
         )
-    ref = basis[0].probabilities
-    for payoff in basis[1:]:
-        if payoff.probabilities != ref:
-            raise StateSpaceMismatchError(
-                "scenario payoffs do not share one state space"
-            )
-    n = len(basis)
-    values = [b.values for b in basis]
-    gram = np.empty((n, n))
-    means = np.empty(n)
-    for i in range(n):
-        means[i] = math.fsum(p * v for p, v in zip(ref, values[i]))
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = math.fsum(
-                p * vi * vj for p, vi, vj in zip(ref, values[i], values[j])
-            )
-    market = GramMarket(gram=gram, means=means, prices=prices_arr, scenario_basis=basis)
+    q = basis[0].probabilities
+    probs = [b.probabilities for b in basis]
+    if any(p.shape != q.shape for p in probs) or (np.array(probs) != q).any():
+        raise StateSpaceMismatchError("scenario payoffs do not share one state space")
+    values = np.column_stack([b.values for b in basis])
+    means, gram = moment_sums(q, values)
+    market = GramMarket(
+        gram=gram, means=means, prices=prices_arr, state_probabilities=q, scenario_values=values
+    )
     validate_market(market)
     return market
 
@@ -270,31 +238,33 @@ def scenario_universe(universe: AssetUniverse) -> GramMarket:
     return gram_from_scenarios(basis, np.ones(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatedFlows:
-    """Cash flows of every spanning element at one date, on a shared state space."""
+    """Cash flows of every spanning element at one date, on a shared state space:
+    read-only ``probabilities`` and ``values`` (one row per element)."""
 
     date: int
-    probabilities: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]  # [element][state]
+    probabilities: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.date, int) or self.date < 1:
             raise InvalidHorizonError("dates are integers starting at 1", date=self.date)
-        probs = tuple(float(p) for p in self.probabilities)
-        vals = tuple(tuple(float(v) for v in row) for row in self.values)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "values", vals)
-        if not probs or any(not 0.0 < p <= 1.0 for p in probs):
-            raise InvalidInputError("date probabilities must lie in (0, 1]", date=self.date)
-        if abs(math.fsum(probs) - 1.0) > 1e-12:
-            raise InvalidInputError("date probabilities do not sum to one", date=self.date)
-        if not vals or any(len(row) != len(probs) for row in vals):
+        try:
+            q, vals = readonly(self.probabilities), readonly(self.values)
+        except (TypeError, ValueError) as exc:
             raise InvalidInputError(
-                "cash-flow rows must match the number of states", date=self.date
-            )
-        if not all(math.isfinite(v) for row in vals for v in row):
-            raise InvalidInputError("cash flows must be finite", date=self.date)
+                "cash flows must be numeric arrays", date=self.date, error=str(exc)
+            ) from None
+        object.__setattr__(self, "probabilities", q)
+        object.__setattr__(self, "values", vals)
+        if q.ndim != 1 or vals.ndim != 2 or not len(vals):
+            raise InvalidInputError("cash flows need one row per element", date=self.date)
+        try:
+            check_states(q, vals.T)
+        except InvalidInputError as exc:
+            exc.context["date"] = self.date
+            raise
 
 
 @dataclass(frozen=True)
@@ -356,26 +326,20 @@ def gram_from_sequence_space(
             "price vector length does not match spec", n=n
         )
     lead = beta / (1.0 - beta)
-    gram = np.zeros((n, n))
-    raw_means = np.zeros(n)
-    for flow in spec.flows:
-        weight = lead * beta**flow.date
-        q = flow.probabilities
-        for i in range(n):
-            raw_means[i] += weight * math.fsum(
-                p * v for p, v in zip(q, flow.values[i])
-            )
-            for j in range(i, n):
-                cross = weight * math.fsum(
-                    p * vi * vj for p, vi, vj in zip(q, flow.values[i], flow.values[j])
-                )
-                gram[i, j] += cross
-                if j != i:
-                    gram[j, i] += cross
     # Norm of the truncated constant unit cash flow.
     raw_unit_norm_sq = lead * beta * (1.0 - beta**spec.horizon) / (1.0 - beta)
+    if raw_unit_norm_sq < sys.float_info.min:
+        raise InvalidBetaError("discount parameter underflows floating point", beta=beta)
     scale = 1.0 / math.sqrt(raw_unit_norm_sq)
-    means = raw_means * scale
+    gram = np.zeros((n, n))
+    raw_means = np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # the market rejects inf and NaN
+        for flow in spec.flows:
+            weight = lead * beta**flow.date
+            flow_means, flow_gram = moment_sums(flow.probabilities, flow.values.T)
+            raw_means += weight * flow_means
+            gram += weight * flow_gram
+        means = raw_means * scale
     market = GramMarket(
         gram=gram,
         means=means,
@@ -445,8 +409,8 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
                 flows = tuple(
                     DatedFlows(
                         date=_whole(entry["date"]),
-                        probabilities=tuple(entry["probabilities"]),
-                        values=tuple(tuple(row) for row in entry["values"]),
+                        probabilities=entry["probabilities"],
+                        values=entry["values"],
                     )
                     for entry in data["flows"]
                 )

@@ -1,20 +1,26 @@
 """Moments and performance ratios of discrete scenario payoffs.
 
-A payoff is a finite probability distribution over real outcomes.  Its mean
-over L2-norm ("hansen" ratio here) is bounded by 1 in absolute value and hits
-1 exactly only for risk-free payoffs; the usual Sharpe ratio is an algebraic
-transform of it.  All moment sums use compensated summation (``math.fsum``)
-so that exact-decimal inputs reproduce exact-fraction references to ~1e-15.
+A payoff is a finite probability distribution over real outcomes, held as two
+read-only float arrays: the state probabilities ``q`` and the values.  Its
+mean over L2-norm ("hansen" ratio here) is bounded by 1 in absolute value and
+hits 1 exactly only for risk-free payoffs; the usual Sharpe ratio is an
+algebraic transform of it.  Every moment is a compensated sum over the
+read-only arrays (``math.fsum``, exactly rounded), so the order of the states
+does not matter and exact-decimal inputs reproduce exact-fraction references
+to ~1e-15.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError, OutOfRangeError, ZeroPayoffError
 
@@ -22,43 +28,100 @@ from .errors import InvalidInputError, OutOfRangeError, ZeroPayoffError
 PROBABILITY_SUM_TOL = 1e-12
 
 
-def _validate_states(
-    states: tuple[tuple[float, float], ...], sum_tol: float = PROBABILITY_SUM_TOL
-) -> None:
-    if not states:
+def readonly(data) -> np.ndarray:
+    """A read-only float copy of ``data``."""
+    out = np.array(data, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def check_states(q: np.ndarray, values: np.ndarray) -> None:
+    """Reject unless ``q`` is a probability vector over the rows of ``values``.
+
+    ``q`` is a vector; ``values`` holds one row per state: a vector for one
+    payoff, a matrix for the payoffs that span a market.
+    """
+    if len(q) != len(values):
+        raise InvalidInputError(
+            "probability and value lengths differ",
+            probabilities=len(q),
+            values=len(values),
+        )
+    if not len(q):
         raise InvalidInputError("a scenario payoff needs at least one state")
-    for i, (prob, value) in enumerate(states):
-        if not (math.isfinite(prob) and math.isfinite(value)):
+    finite = np.isfinite(q) & np.isfinite(values.reshape(len(q), -1)).all(axis=1)
+    good = finite & (q > 0.0) & (q <= 1.0)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
             raise InvalidInputError("non-finite state entry", state=i)
-        if not 0.0 < prob <= 1.0:
-            raise InvalidInputError(
-                "state probability must lie in (0, 1]", state=i, probability=prob
-            )
-    total = math.fsum(p for p, _ in states)
-    if abs(total - 1.0) > sum_tol:
+        raise InvalidInputError(
+            "state probability must lie in (0, 1]", state=i, probability=float(q[i])
+        )
+    total = math.fsum(q.tolist())
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise InvalidInputError(
             "probabilities do not sum to one",
             total=total,
-            tolerance=sum_tol,
+            tolerance=PROBABILITY_SUM_TOL,
         )
 
 
-@dataclass(frozen=True)
-class ScenarioPayoff:
-    """Immutable finite payoff distribution: ``(probability, value)`` pairs."""
+def moment_sums(q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means ``E[v_i]`` and second moments ``E[v_i v_j]`` of the columns of ``values``.
 
-    states: tuple[tuple[float, float], ...]
+    Each entry is one compensated sum of the products ``q*v_i`` or
+    ``(q*v_i)*v_j`` over the states; an entry beyond the float range is NaN
+    or infinite.
+    """
+    weighted = (q[:, None] * values).T
+    n = len(weighted)
+    rows, cols = _upper_triangle(n)
+    with np.errstate(over="ignore"):
+        cross = weighted[rows] * values.T[cols]
+    means, sums = fsum_rows(weighted), fsum_rows(cross)
+    gram = np.empty((n, n))
+    gram[rows, cols] = sums
+    gram[cols, rows] = sums
+    return np.array(means), gram
+
+
+def fsum_rows(terms: np.ndarray) -> list[float]:
+    """Exactly rounded sum of each row; NaN for all of them when one leaves
+    the float range (or holds both infinities)."""
+    rows = terms.tolist()
+    try:
+        return [math.fsum(row) for row in rows]
+    except (OverflowError, ValueError):
+        return [math.nan] * len(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n)
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioPayoff:
+    """Immutable finite payoff distribution: read-only ``probabilities`` and
+    ``values`` arrays, one entry per state."""
+
+    probabilities: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        normalized = tuple((float(p), float(v)) for p, v in self.states)
-        object.__setattr__(self, "states", normalized)
-        _validate_states(normalized)
+        q, values = readonly(self.probabilities), readonly(self.values)
+        object.__setattr__(self, "probabilities", q)
+        object.__setattr__(self, "values", values)
+        if q.ndim != 1 or values.ndim != 1:
+            raise InvalidInputError("probabilities and values must be vectors")
+        check_states(q, values)
 
     @classmethod
     def from_arrays(
         cls,
-        probabilities: Sequence[float] | Iterable[float],
-        values: Sequence[float] | Iterable[float],
+        probabilities: Sequence[float] | np.ndarray,
+        values: Sequence[float] | np.ndarray,
         *,
         renormalize: bool = False,
         sum_tol: float = PROBABILITY_SUM_TOL,
@@ -68,24 +131,17 @@ class ScenarioPayoff:
         With ``renormalize`` the probabilities are rescaled to sum to one,
         provided their raw sum is within ``sum_tol`` of one (never silently).
         """
-        probs = [float(p) for p in probabilities]
-        vals = [float(v) for v in values]
-        if len(probs) != len(vals):
-            raise InvalidInputError(
-                "probability and value lengths differ",
-                probabilities=len(probs),
-                values=len(vals),
-            )
+        q = np.array(probabilities, dtype=float)
         if renormalize:
-            total = math.fsum(probs)
+            total = math.fsum(q.ravel().tolist())
             if not total > 0 or abs(total - 1.0) > sum_tol:
                 raise InvalidInputError(
                     "probabilities too far from one to renormalize",
                     total=total,
                     tolerance=sum_tol,
                 )
-            probs = [p / total for p in probs]
-        return cls(tuple(zip(probs, vals)))
+            q = q / total
+        return cls(q, values)
 
     @classmethod
     def from_csv(
@@ -123,20 +179,6 @@ class ScenarioPayoff:
             raise InvalidInputError("scenario CSV contains no data rows", path=str(path))
         return cls.from_arrays(probs, vals, renormalize=renormalize, sum_tol=sum_tol)
 
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for p, _ in self.states)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.states)
-
-    def min_value(self) -> float:
-        return min(v for _, v in self.states)
-
-    def max_value(self) -> float:
-        return max(v for _, v in self.states)
-
 
 @dataclass(frozen=True)
 class RatioStats:
@@ -165,17 +207,16 @@ def stats(payoff: ScenarioPayoff) -> RatioStats:
     undefined when the L2 norm vanishes) and InvalidInputError when the
     moments are not normal floating-point numbers.
     """
-    vals = payoff.values
-    if not any(vals):
+    q, vals = payoff.probabilities, payoff.values
+    if not vals.any():
         raise ZeroPayoffError("payoff is zero in every state")
-    risk_free = min(vals) == max(vals)
-    try:
-        second = math.fsum(p * v * v for p, v in payoff.states)
-        mean = math.fsum(p * v for p, v in payoff.states)
-        variance = 0.0 if risk_free else math.fsum(p * (v - mean) ** 2 for p, v in payoff.states)
-    except OverflowError:
-        second = math.inf
-    if not (sys.float_info.min <= second < math.inf and (risk_free or variance > 0.0)):
+    risk_free = vals.min() == vals.max()
+    means, gram = moment_sums(q, vals[:, None])
+    mean, second = float(means[0]), float(gram[0, 0])
+    with np.errstate(over="ignore"):  # rejected below
+        dev = vals - mean
+        variance = 0.0 if risk_free else fsum_rows((q * (dev * dev))[None])[0]
+    if not (sys.float_info.min <= second < math.inf and (risk_free or 0.0 < variance < math.inf)):
         raise InvalidInputError("payoff moments overflow or underflow floating point")
     if risk_free:
         # Risk-free: zero variance by definition, ratio exactly +-1.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,10 @@ from .errors import (
     NoDownsideError,
     NonPositiveMeanError,
     NotAKernelError,
-    NotScenarioBackedError,
 )
-from .kernel import PRICING_TOL
+from .kernel import _require_scenarios, pricing_error_of
 from .market import GramMarket
-from .moments import ScenarioPayoff, hr_to_sr, stats
+from .moments import ScenarioPayoff, fsum_rows, hr_to_sr, stats
 
 #: Residual of the truncation first-order condition permitted at the optimum.
 FOC_TOL = 1e-10
@@ -78,14 +78,22 @@ def monotonized_utility(x):
     return c - 0.5 * c * c
 
 
-def _stationary_cap(states, lo: float, hi: float) -> tuple[float, float] | None:
+def _stationary_cap(q, w, terms, lo: float, hi: float) -> tuple[float, float] | None:
     """``(ratio, cap)`` of the payoff capped at ``E[W^2; W <= lo] / E[W; W <= lo]``,
-    or ``None`` unless that cap lies in ``[lo, hi]``."""
-    kept = [(p, v) for p, v in states if v <= lo]
-    mean = math.fsum(p * v for p, v in kept)
+    or ``None`` unless that cap lies in ``[lo, hi]``; ``terms`` are the
+    statewise ``(q W, q W^2)``."""
+    kept = w <= lo
+    mean, second = fsum_rows(terms[:, kept])
+    unit = 1.0
+    if mean > 0.0 and second < sys.float_info.min:
+        # The kept states are so small that their second moment underflows:
+        # take the moments in units of lo, a power of two, so exactly scaled.
+        unit = math.ldexp(1.0, math.frexp(lo)[1])
+        lo, hi, kept_w = lo / unit, hi / unit, w[kept] / unit
+        with np.errstate(over="ignore"):
+            mean, second = fsum_rows(np.array((q[kept] * kept_w, q[kept] * kept_w * kept_w)))
     if mean <= 0.0:
         return None
-    second = math.fsum(p * v * v for p, v in kept)
     cap = second / mean
     # A cap that is mathematically on an end can round an ulp off it; snap it
     # there so that both segments sharing that end agree on it.
@@ -95,8 +103,8 @@ def _stationary_cap(states, lo: float, hi: float) -> tuple[float, float] | None:
         cap = lo
     if not lo <= cap <= hi:
         return None
-    tail = math.fsum(p for p, v in states if v > lo)
-    return (mean + cap * tail) / math.sqrt(second + cap * cap * tail), cap
+    (tail,) = fsum_rows(q[None, ~kept])
+    return (mean + cap * tail) / math.sqrt(second + cap * cap * tail), cap * unit
 
 
 def monotone_hansen_ratio(
@@ -114,8 +122,8 @@ def monotone_hansen_ratio(
         raise NonPositiveMeanError(
             "monotone ratio needs a strictly positive mean", mean=ratios.mean
         )
-    values = payoff.values
-    if min(values) >= 0.0:
+    q, w = payoff.probabilities, payoff.values
+    if w.min() >= 0.0:
         if allow_no_downside:
             return MonotoneResult(
                 mhr=1.0,
@@ -134,12 +142,13 @@ def monotone_hansen_ratio(
     # condition a E[U^2; K] = E[U; K] <= 1/a on the kept states K.  A ray cut
     # at _RAY_LIMIT that still rises at its end has every gain above
     # 1/_RAY_LIMIT capped at the optimum: cap them there and search again.
-    q, w = np.array(payoff.probabilities), np.array(values)
     u = w / w.max()
+    faint = bool(((u == 0.0) & (w != 0.0)).any())  # outcomes that underflow in U
     while True:
-        loss = -u.min()
+        loss = abs(u.min())  # 0.0, not -0.0, when the losses underflow
         loss *= math.sqrt(q[u < 0.0] @ (u[u < 0.0] / loss) ** 2)
-        top = min(1.0 / float(u[u > 0.0].min()), 1.0 / loss, _RAY_LIMIT)
+        with np.errstate(over="ignore", divide="ignore"):  # losses too small to bound
+            top = min(1.0 / float(u[u > 0.0].min()), 1.0 / loss, _RAY_LIMIT)
         dx = top * u
         with np.errstate(over="ignore"):  # crossings far beyond the ray's end
             t = _line_max(q, np.zeros_like(q), dx)
@@ -149,19 +158,21 @@ def monotone_hansen_ratio(
     # The kept states {t dx <= 1} put the cap between two consecutive gains, up
     # to rounding at the ends; the exact moments decide between that segment
     # and its neighbours.  A cap on a gain is stationary in both segments that
-    # share it, and the larger ratio wins.
-    levels = sorted({v for v in values if v > 0.0})
+    # share it, and the larger ratio wins.  The search cannot see outcomes
+    # that underflow in U, so then every lower segment is a candidate too.
+    levels = sorted(set(w[w > 0.0].tolist()))  # np.unique would import numpy.ma
     j = bisect.bisect_right(levels, float(w[t * dx <= 1.0].max()))
-    ends = [0.0, *levels, math.inf][max(j - 1, 0) : j + 3]
-    found = [c for lo, hi in zip(ends, ends[1:]) if (c := _stationary_cap(payoff.states, lo, hi))]
+    ends = [0.0, *levels, math.inf][0 if faint else max(j - 1, 0) : j + 3]
+    terms = q * w
+    terms = np.array((terms, terms * w))
+    found = [c for lo, hi in zip(ends, ends[1:]) if (c := _stationary_cap(q, w, terms, lo, hi))]
     if not found:
         raise InternalInvariantError("no stationary cap found for the truncation problem")
     best_ratio, best_cap = max(found, key=lambda rc: (rc[0], -rc[1]))
     alpha_hat = 1.0 / best_cap
 
     # First-order condition at the reported cap ({alpha*W <= 1} == {W <= cap}).
-    foc_mean = math.fsum(p * v for p, v in payoff.states if v <= best_cap)
-    foc_second = math.fsum(p * v * v for p, v in payoff.states if v <= best_cap)
+    foc_mean, foc_second = fsum_rows(terms[:, w <= best_cap])
     residual = foc_mean - alpha_hat * foc_second
     if abs(residual) > FOC_TOL * max(1.0, abs(foc_mean)):
         raise InternalInvariantError(
@@ -180,7 +191,7 @@ def monotone_hansen_ratio(
         msr=hr_to_sr(best_ratio) if best_ratio < 1.0 else None,
         k_hat=best_cap,
         alpha_hat=alpha_hat,
-        truncated=best_cap < max(values),
+        truncated=bool(best_cap < w.max()),
     )
 
 
@@ -297,26 +308,14 @@ def monotone_hj_bound(market: GramMarket, kernel: ScenarioPayoff) -> MonotoneBou
     verifies ``sup MHR^2 <= 1 - HR^2(kernel)`` and
     ``var(kernel)/mean(kernel)^2 >= sup MSR^2``.
     """
-    if not market.is_scenario_backed:
-        raise NotScenarioBackedError(
-            "monotone kernel bound needs statewise payoffs"
-        )
-    m_vals = np.array(kernel.values)
-    if m_vals.min() < 0.0:
+    _require_scenarios(market, "monotone kernel bound")
+    if kernel.values.min() < 0.0:
         raise NegativeKernelError(
-            "kernel takes negative values", min_value=float(m_vals.min())
+            "kernel takes negative values", min_value=float(kernel.values.min())
         )
-    assert market.scenario_basis is not None
-    if kernel.probabilities != market.scenario_basis[0].probabilities:
-        raise NotAKernelError("kernel is not on the market's state space")
+    pricing_error_of(kernel, market, NotAKernelError)
     q = market.state_probabilities
     values = market.scenario_values
-    implied = (q * m_vals) @ values
-    pricing_error = float(np.linalg.norm(implied - market.prices))
-    if pricing_error > PRICING_TOL * float(np.linalg.norm(market.prices)):
-        raise NotAKernelError(
-            "candidate misprices the spanning payoffs", pricing_error=pricing_error
-        )
     kernel_stats = stats(kernel)
     kernel_hr_sq = kernel_stats.hansen**2
     if kernel_stats.mean == 0.0:

@@ -10,8 +10,7 @@ for these formulas on small markets.
 
 from __future__ import annotations
 
-import itertools
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import (
     InternalInvariantError,
     InvalidHorizonError,
     InvalidInputError,
-    NotScenarioBackedError,
     TreeTooLargeError,
 )
 from .frontier import (
@@ -30,6 +28,7 @@ from .frontier import (
     _z_stats,
     special_portfolios,
 )
+from .kernel import _require_scenarios
 from .market import GramMarket
 
 #: Hard cap on the number of scenario-tree leaves.
@@ -104,6 +103,10 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
         raise InvalidInputError(
             "n-period moments overflow floating point at this horizon", horizon=horizon
         ) from None
+    if min(omega_sq_y, abs(mu_y) if one_period.mu_y else 1.0) < sys.float_info.min:
+        raise InvalidInputError(
+            "n-period moments underflow floating point at this horizon", horizon=horizon
+        )
     return MultiperiodStats(
         horizon=horizon,
         mu_y=mu_y,
@@ -117,18 +120,16 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
 class ScenarioTree:
     """Full product tree of an IID one-period scenario market.
 
-    Leaves enumerate state paths; ``y_leaves`` is the per-period
-    minimum-norm payoff compounded along the path, ``x_leaves`` the payoff of
-    the dynamically rebalanced optimal zero-cost strategy, and ``mix_leaves``
-    their numerically convenient combination
-    ``x + (mu_y/omega_sq_y)**n * y``.
+    Leaves enumerate state paths in lexicographic order (the first period's
+    state varies slowest); ``y_leaves`` is the per-period minimum-norm payoff
+    compounded along the path and ``x_leaves`` the payoff of the dynamically
+    rebalanced optimal zero-cost strategy.
     """
 
     horizon: int
     leaf_probabilities: np.ndarray
     y_leaves: np.ndarray
     x_leaves: np.ndarray
-    mix_leaves: np.ndarray
 
     @property
     def n_leaves(self) -> int:
@@ -136,14 +137,18 @@ class ScenarioTree:
 
 
 def product_tree(market: GramMarket, horizon: int) -> ScenarioTree:
-    """Enumerate the n-period tree depth-first and fill the leaf arrays."""
-    if not market.is_scenario_backed:
-        raise NotScenarioBackedError("tree construction needs statewise payoffs")
+    """Build the n-period tree's leaf arrays one period at a time.
+
+    A period multiplies the path probabilities by ``q`` and the compounded
+    payoff by ``y``; the dynamic zero-cost strategy holds the one-period ``x``
+    plus ``a = mu_y/omega_sq_y`` times its payoff so far rolled over through
+    ``y``: ``X <- x + a X y`` (no cancellation against 1).
+    """
+    _require_scenarios(market, "tree construction")
     if not isinstance(horizon, int) or horizon < 1:
         raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
     q = market.state_probabilities
-    n_states = q.shape[0]
-    n_leaves = n_states**horizon
+    n_leaves = q.shape[0] ** horizon
     if n_leaves > LEAF_CAP:
         raise TreeTooLargeError(
             "scenario tree exceeds the leaf cap",
@@ -151,43 +156,17 @@ def product_tree(market: GramMarket, horizon: int) -> ScenarioTree:
             cap=LEAF_CAP,
         )
     sp = special_portfolios(market)
-    values = market.scenario_values
-    y_one = values @ sp.w_y
-    x_one = values @ sp.w_x
+    y_one = market.scenario_values @ sp.w_y
+    x_one = market.scenario_values @ sp.w_x
     a1 = sp.mu_y / sp.omega_sq_y
-    a_n = a1**horizon
-
-    probs = np.empty(n_leaves)
-    y_leaves = np.empty(n_leaves)
-    x_leaves = np.empty(n_leaves)
-    mix_leaves = np.empty(n_leaves)
-    for leaf, path in enumerate(itertools.product(range(n_states), repeat=horizon)):
-        prob = 1.0
-        suffix = np.empty(horizon + 1)
-        suffix[horizon] = 1.0
-        for t in range(horizon - 1, -1, -1):
-            suffix[t] = suffix[t + 1] * y_one[path[t]]
-        for state in path:
-            prob *= q[state]
-        y_prod = suffix[0]
-        # Residual of the dynamic strategy: compound the per-period residuals
-        # of the bliss payoff forward with the pricing-portfolio discount.
-        residual = math.fsum(
-            a1 ** (horizon - 1 - t)
-            * (1.0 - x_one[path[t]] - a1 * y_one[path[t]])
-            * suffix[t + 1]
-            for t in range(horizon)
-        )
-        probs[leaf] = prob
-        y_leaves[leaf] = y_prod
-        x_leaves[leaf] = 1.0 - a_n * y_prod - residual
-        mix_leaves[leaf] = 1.0 - residual
+    probs, y_leaves, x_leaves = q, y_one, x_one
+    for _ in range(horizon - 1):
+        probs = np.outer(probs, q).ravel()
+        # Prepending a first period leaves the path order unchanged.
+        y_leaves = np.outer(y_one, y_leaves).ravel()
+        x_leaves = (a1 * np.outer(x_leaves, y_one) + x_one).ravel()
     return ScenarioTree(
-        horizon=horizon,
-        leaf_probabilities=probs,
-        y_leaves=y_leaves,
-        x_leaves=x_leaves,
-        mix_leaves=mix_leaves,
+        horizon=horizon, leaf_probabilities=probs, y_leaves=y_leaves, x_leaves=x_leaves
     )
 
 

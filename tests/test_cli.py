@@ -209,6 +209,35 @@ def test_huge_horizon_on_a_feasible_market_is_invalid_input(capsys, tmp_path):
     assert json.loads(err)["code"] == "invalid_input"
 
 
+@pytest.mark.parametrize("periods", ["3000", "1000000"])
+def test_underflowing_horizon_is_invalid_input(capsys, tmp_path, periods):
+    # mu_y < 1 here: omega_sq_y**3000 is subnormal and every moment is 0 at 10**6.
+    path = tmp_path / "market.json"
+    path.write_text(
+        json.dumps(
+            {"kind": "universe", "mu": [0.9, 0.95], "sigma": [[0.0146, 0.0187], [0.0187, 0.0854]]}
+        )
+    )
+    code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", periods)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["code"] == "invalid_input"
+    assert report["context"]["horizon"] == int(periods)
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_error_line_is_strict_json(capsys, tmp_path):
+    path = tmp_path / "market.json"
+    path.write_text(SEQUENCE.format(flow=FLOW).replace('"beta": 0.5', '"beta": NaN'))
+    code, out, err = run_cli(capsys, "frontier", "--input", str(path))
+    assert code == 1 and out == ""
+    report = json.loads(err, parse_constant=reject_constant)
+    assert report["code"] == "invalid_beta" and report["context"] == {"beta": "nan"}
+
+
 @pytest.mark.parametrize(
     "rows",
     ["0.5,-1e300\n0.5,2e300\n", "0.5,-1e-170\n0.5,2e-170\n"],
@@ -404,3 +433,71 @@ class TestUsageErrors:
         )
         assert code == 1
         assert json.loads(err)["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (
+            ["frontier", "--grid", "0.5:1.5:5"],
+            '{"kind": "universe", "mu": [1.0], "sigma": [[0.05]]}',
+            "zero_x",
+        ),
+        (
+            ["hj"],
+            '{"kind": "gram", "G": [[1.05, 1.0], [1.0, 1.05]], "m": [1.0, 1.0], "p": [0.0, 1e-300]}',
+            "invalid_input",
+        ),
+        (
+            ["frontier"],
+            '{"kind": "gram", "G": [[1e-320]], "m": [9.65e-301], "p": [2.89e-302]}',
+            None,
+        ),
+        (
+            ["hj"],
+            '{"kind": "gram", "G": [[5.293676150870622e-07]], "m": [1.0], "p": [7.5446e-05]}',
+            "invalid_input",
+        ),
+        (
+            ["hj"],
+            SEQUENCE.format(flow=FLOW).replace('"beta": 0.5', '"beta": 1e-320'),
+            "invalid_beta",
+        ),
+        (
+            ["hj"],
+            SEQUENCE.format(flow=FLOW.replace("[[1.0, 2.0]]", "[[1.5e154, 2.0]]")).replace(
+                '"beta": 0.5', '"beta": 0.95'
+            ),
+            "invalid_input",
+        ),
+        (["mhr", "--renormalize", "--prob-tol", "1e-6"], "nan,0.0\n", "invalid_input"),
+    ],
+    ids=[
+        "points-of-a-degenerate-frontier", "tiny-price", "tiny-gram", "ratio-of-y-above-one",
+        "subnormal-beta", "overflowing-second-moment", "nan-probability-renormalized",
+    ],
+)
+def test_inputs_at_the_edge_of_the_float_range_end_cleanly(capsys, tmp_path, argv, text, code):
+    # None of these may print a report before its error, a NaN token, a
+    # warning, a traceback or a false internal_invariant.
+    path = tmp_path / ("input.csv" if argv[0] == "mhr" else "input.json")
+    path.write_text(text)
+    if "--grid" in argv:
+        argv = [*argv, "--points-csv", str(tmp_path / "points.csv")]
+    exit_code, out, err = run_cli(capsys, argv[0], "--input", str(path), *argv[1:])
+    if code is None:
+        assert exit_code == 0 and err == ""
+        json.loads(out, parse_constant=reject_constant)
+    else:
+        assert exit_code == 1 and out == ""
+        assert json.loads(err, parse_constant=reject_constant)["code"] == code
+
+
+def test_losses_that_vanish_beside_the_gains_still_get_a_cap(capsys, tmp_path):
+    # -2.7e-300 / 1e148 underflows to -0.0: the loss bound on the ray is 1/0.
+    path = tmp_path / "payoff.csv"
+    path.write_text("0.5,1e148\n0.25,-2.7e-300\n0.25,0.5\n")
+    code, out, err = run_cli(capsys, "mhr", "--input", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["k_hat"] == 0.5 and report["mhr"] == pytest.approx(0.75**0.5, rel=1e-15)

@@ -1,0 +1,191 @@
+"""Fuzz of the command line over generated market JSON and scenario CSV files.
+
+Every run must end in one of two ways: exit 0 with a JSON report on stdout,
+or exit 1 or 2 with one strict-JSON error line on stderr that is not the
+last-resort ``internal_error`` (an exception the code did not expect).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hrfrontier.cli import main
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# Scales across the float range, and the values that break solvers.
+SCALE = st.sampled_from([1.0, 1e-300, 1e-150, 1e-9, 1e-3, 1e3, 1e9, 1e150, 1e300])
+SPECIAL = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 1e-320, 1e308, -1e308, math.nan, math.inf, -math.inf]
+)
+NUMBER = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda x, c: x * c, st.floats(-3.0, 3.0), SCALE),
+    SPECIAL,
+)
+
+
+@st.composite
+def corrupt(draw, rows):
+    """Mostly leave a matrix alone; else drop one entry (a ragged row) or
+    replace one by a number from anywhere in the float range."""
+    rows = [list(row) for row in rows]
+    mutation = draw(st.integers(0, 9))
+    i = draw(st.integers(0, len(rows) - 1))
+    if mutation == 8:
+        rows[i] = rows[i][:-1]
+    elif mutation == 9:
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(NUMBER)
+    return rows
+
+
+@st.composite
+def moments(draw, n: int):
+    """Means and a covariance matrix (factor times its transpose), scaled by c and c**2."""
+    factor = draw(
+        st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n)
+    )
+    c = draw(SCALE)
+    mu = [c * m for m in draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))]
+    sigma = [
+        [c * c * (math.fsum(a * b for a, b in zip(row_i, row_j)) + 0.05 * (i == j)) for j, row_j in enumerate(factor)]
+        for i, row_i in enumerate(factor)
+    ]
+    return mu, sigma
+
+
+@st.composite
+def universe_market(draw):
+    mu, sigma = draw(moments(draw(st.integers(1, 4))))
+    mu = draw(corrupt([mu]))[0]
+    return {"kind": "universe", "mu": mu, "sigma": draw(corrupt(sigma))}
+
+
+@st.composite
+def gram_market(draw):
+    mu, sigma = draw(moments(draw(st.integers(1, 4))))
+    gram = [[s + a * b for s, b in zip(row, mu)] for row, a in zip(sigma, mu)]
+    prices = draw(st.lists(st.floats(-0.5, 1.5), min_size=len(mu), max_size=len(mu)))
+    means, prices = draw(corrupt([mu, [p * draw(SCALE) for p in prices]]))
+    return {"kind": "gram", "G": draw(corrupt(gram)), "m": means, "p": prices}
+
+
+@st.composite
+def sequence_market(draw):
+    n_states = draw(st.integers(1, 4))
+    n = draw(st.integers(1, min(3, n_states)))
+    horizon = draw(st.integers(1, 12))
+    flows = []
+    for date in draw(st.lists(st.integers(1, horizon + 1), min_size=1, max_size=3, unique=True)):
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n_states, max_size=n_states))
+        total = math.fsum(weights)
+        probs = [w / total for w in weights]
+        values = draw(
+            st.lists(st.lists(st.floats(0.0, 2.0), min_size=n_states, max_size=n_states), min_size=n, max_size=n)
+        )
+        probs, *values = draw(corrupt([probs, *values]))
+        flows.append({"date": date, "probabilities": probs, "values": values})
+    beta = draw(st.one_of(st.floats(0.05, 0.95), SPECIAL))
+    prices = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return {"kind": "sequence", "beta": beta, "horizon": horizon, "prices": prices, "flows": flows}
+
+
+MARKET = st.one_of(universe_market(), gram_market(), sequence_market())
+MARKET_ARGV = st.sampled_from(
+    [
+        ["frontier"],
+        ["frontier", "--grid", "0.5:1.5:5"],
+        ["multiperiod", "--periods", "4"],
+        ["multiperiod", "--periods", "5000"],
+        ["hj"],
+    ]
+)
+
+
+@st.composite
+def scenario_csv(draw):
+    n_states = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n_states, max_size=n_states))
+    total = math.fsum(weights)
+    scale = draw(SCALE)
+    values = draw(st.lists(st.floats(-1.0, 2.0), min_size=n_states, max_size=n_states))
+    rows = [[repr(w / total), repr(scale * v)] for w, v in zip(weights, values)]
+    if draw(st.booleans()):  # a duplicated state: one row split in two halves
+        i = draw(st.integers(0, n_states - 1))
+        rows[i][0] = repr(float(rows[i][0]) / 2)
+        rows.append(list(rows[i]))
+    if n_states > 1 and draw(st.booleans()):  # tied outcomes
+        rows[1][1] = rows[0][1]
+    mutation = draw(st.integers(0, 9))  # most files stay well formed
+    if mutation == 7:
+        rows[0].append("1.0")  # ragged row
+    elif mutation == 8:
+        rows[-1][0] = draw(st.sampled_from(["nan", "inf", "-0.1", "2", "x", ""]))
+    elif mutation == 9:
+        rows[-1][1] = draw(st.one_of(st.sampled_from(["nan", "inf", "1e400", "x"]), NUMBER.map(repr)))
+    header = "probability,value\n" if draw(st.booleans()) else ""
+    return header + "".join(",".join(row) + "\n" for row in rows)
+
+
+CSV_ARGV = st.sampled_from(
+    [[], ["--allow-no-downside"], ["--renormalize", "--prob-tol", "1e-6"]]
+)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _assert_clean_ending(code: int, out: str, err: str) -> None:
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    assert code in (1, 2) and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    report = json.loads(lines[0], parse_constant=_reject_constant)
+    assert set(report) == {"code", "message", "context"}
+    assert report["code"] != "internal_error", report
+
+
+@FUZZ
+@given(market=MARKET, argv=MARKET_ARGV)
+def test_every_market_file_ends_cleanly(market, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(market, handle)  # NaN and Infinity tokens included
+        if "--grid" in argv:
+            argv = [*argv, "--points-csv", os.path.join(tmp, "points.csv")]
+        _assert_clean_ending(*_run([argv[0], "--input", path, *argv[1:]]))
+
+
+@FUZZ
+@given(text=scenario_csv(), argv=CSV_ARGV)
+def test_every_scenario_csv_ends_cleanly(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "payoff.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        _assert_clean_ending(*_run(["mhr", "--input", path, *argv]))

@@ -62,7 +62,7 @@ class TestBenchmarkMarket:
 class TestRiskFreeMarket:
     @pytest.fixture
     def market(self):
-        return gram_from_scenarios([ScenarioPayoff(((1.0, 1.0),))], [1.0])
+        return gram_from_scenarios([ScenarioPayoff.from_arrays([1.0], [1.0])], [1.0])
 
     def test_y_is_the_unit_payoff(self, market):
         sp = special_portfolios(market)

@@ -71,7 +71,7 @@ PROBS = (1 / 6, 1 / 2, 1 / 3)
 
 class TestScenarioGram:
     def test_single_unit_payoff(self):
-        market = gram_from_scenarios([ScenarioPayoff(((1.0, 1.0),))], [1.0])
+        market = gram_from_scenarios([ScenarioPayoff.from_arrays([1.0], [1.0])], [1.0])
         assert market.gram[0, 0] == 1.0
         assert market.means[0] == 1.0
         assert market.is_scenario_backed
@@ -130,7 +130,8 @@ class TestScenarioGram:
             gram=np.array(good.gram) + np.array([[0.001, 0.0], [0.0, 0.0]]),
             means=good.means,
             prices=good.prices,
-            scenario_basis=good.scenario_basis,
+            state_probabilities=good.state_probabilities,
+            scenario_values=good.scenario_values,
         )
         with pytest.raises(InvalidInputError):
             validate_market(tampered)

@@ -29,8 +29,9 @@ def payoff(values=W_VALUES, probs=PROBS) -> ScenarioPayoff:
 
 def quadratic_utility(pay: ScenarioPayoff) -> float:
     """Expected quadratic utility ``mean - second_moment / 2``."""
-    mean = math.fsum(p * v for p, v in pay.states)
-    second = math.fsum(p * v * v for p, v in pay.states)
+    q, v = pay.probabilities, pay.values
+    mean = math.fsum((q * v).tolist())
+    second = math.fsum((q * v * v).tolist())
     return mean - 0.5 * second
 
 
@@ -47,12 +48,12 @@ def optimal_scaled_utility(pay: ScenarioPayoff) -> tuple[float, float]:
 class TestScenarioPayoff:
     def test_requires_states(self):
         with pytest.raises(InvalidInputError):
-            ScenarioPayoff(())
+            ScenarioPayoff.from_arrays([], [])
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
     def test_rejects_bad_probability(self, bad):
         with pytest.raises(InvalidInputError):
-            ScenarioPayoff(((bad, 1.0), (1.0 - bad if bad == bad else 0.5, 2.0)))
+            ScenarioPayoff.from_arrays([bad, 1.0 - bad if bad == bad else 0.5], [1.0, 2.0])
 
     def test_rejects_probability_sum_off_by_more_than_tolerance(self):
         with pytest.raises(InvalidInputError):
@@ -69,13 +70,13 @@ class TestScenarioPayoff:
         path = tmp_path / "scenario.csv"
         path.write_text("probability,value\n0.25,-1.5\n0.75,2.0\n")
         loaded = ScenarioPayoff.from_csv(path)
-        assert loaded.probabilities == (0.25, 0.75)
-        assert loaded.values == (-1.5, 2.0)
+        assert loaded.probabilities.tolist() == [0.25, 0.75]
+        assert loaded.values.tolist() == [-1.5, 2.0]
 
     def test_csv_without_header(self, tmp_path):
         path = tmp_path / "scenario.csv"
         path.write_text("0.25,-1.5\n0.75,2.0\n")
-        assert ScenarioPayoff.from_csv(path).values == (-1.5, 2.0)
+        assert ScenarioPayoff.from_csv(path).values.tolist() == [-1.5, 2.0]
 
     def test_csv_bad_row(self, tmp_path):
         path = tmp_path / "scenario.csv"
@@ -98,7 +99,7 @@ class TestStats:
 
     @pytest.mark.parametrize("level", [0.5, 1.0, 3.0])
     def test_risk_free_payoff(self, level):
-        ratios = stats(ScenarioPayoff(((1.0, level),)))
+        ratios = stats(ScenarioPayoff.from_arrays([1.0], [level]))
         assert ratios.hansen == 1.0
         assert ratios.variance == 0.0
         assert ratios.sharpe is None and ratios.sharpe_is_infinite
@@ -109,11 +110,11 @@ class TestStats:
         assert ratios.variance == 0.0
 
     def test_negative_risk_free(self):
-        assert stats(ScenarioPayoff(((1.0, -2.0),))).hansen == -1.0
+        assert stats(ScenarioPayoff.from_arrays([1.0], [-2.0])).hansen == -1.0
 
     def test_zero_payoff_rejected(self):
         with pytest.raises(ZeroPayoffError):
-            stats(ScenarioPayoff(((0.5, 0.0), (0.5, 0.0))))
+            stats(ScenarioPayoff.from_arrays([0.5, 0.5], [0.0, 0.0]))
 
 
 class TestConversions:
@@ -148,14 +149,14 @@ class TestConversions:
 
 class TestUtility:
     def test_zero_and_bliss(self):
-        assert quadratic_utility(ScenarioPayoff(((1.0, 0.0),))) == 0.0
-        assert quadratic_utility(ScenarioPayoff(((1.0, 1.0),))) == 0.5
+        assert quadratic_utility(ScenarioPayoff.from_arrays([1.0], [0.0])) == 0.0
+        assert quadratic_utility(ScenarioPayoff.from_arrays([1.0], [1.0])) == 0.5
 
     def test_three_state_example(self):
         assert quadratic_utility(payoff()) == pytest.approx(0.0099, rel=1e-12)
 
     def test_optimal_scaling_risk_free(self):
-        value, alpha = optimal_scaled_utility(ScenarioPayoff(((1.0, 1.0),)))
+        value, alpha = optimal_scaled_utility(ScenarioPayoff.from_arrays([1.0], [1.0]))
         assert value == pytest.approx(0.5, abs=1e-15)
         assert alpha == pytest.approx(1.0, abs=1e-15)
 

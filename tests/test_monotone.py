@@ -1,11 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hrfrontier import (
     HRFrontierError,
+    InvalidInputError,
     NegativeKernelError,
     NoDownsideError,
     NonPositiveMeanError,
@@ -118,10 +120,10 @@ class TestSolver:
             pay = random_payoff(rng, 10, positive_mean=True, with_downside=True)
             result = monotone_hansen_ratio(pay)
             alpha = result.alpha_hat
-            lhs = math.fsum(p * v for p, v in pay.states if v <= result.k_hat)
-            rhs = alpha * math.fsum(
-                p * v * v for p, v in pay.states if v <= result.k_hat
-            )
+            q, v = pay.probabilities, pay.values
+            kept = v <= result.k_hat
+            lhs = math.fsum((q * v)[kept].tolist())
+            rhs = alpha * math.fsum((q * v * v)[kept].tolist())
             assert abs(lhs - rhs) < 1e-10
             assert alpha * result.k_hat == pytest.approx(1.0, abs=1e-12)
 
@@ -133,7 +135,7 @@ class TestSolver:
             improved = ScenarioPayoff.from_arrays(
                 pay.probabilities, np.array(pay.values) + bumps
             )
-            if improved.min_value() >= 0.0:
+            if improved.values.min() >= 0.0:
                 continue
             assert (
                 monotone_hansen_ratio(improved).mhr
@@ -396,6 +398,26 @@ def oracle_mhr(probs, values) -> float:
     return best
 
 
+def exact_mhr(probs, values) -> tuple[float, float]:
+    """``(mhr, cap)`` in exact rational arithmetic, over every positive
+    outcome and every stationary cap, one of which is optimal."""
+    q, w = [Fraction(p) for p in probs], [Fraction(v) for v in values]
+
+    def ratio_sq(cap):
+        clipped = [min(v, cap) for v in w]
+        mean = sum(p * c for p, c in zip(q, clipped))
+        return (mean * mean / sum(p * c * c for p, c in zip(q, clipped)) if mean > 0 else -1), cap
+
+    candidates = [ratio_sq(v) for v in w if v > 0]
+    for lo in sorted({v for v in w if v > 0}):
+        kept = [(p, v) for p, v in zip(q, w) if v <= lo]
+        mean = sum(p * v for p, v in kept)
+        if mean > 0:
+            candidates.append(ratio_sq(sum(p * v * v for p, v in kept) / mean))
+    best_sq, cap = max(candidates)
+    return math.sqrt(best_sq), float(cap)
+
+
 def engine_payoffs(seed: int, count: int, decades: float = 0.0):
     """Seeded payoffs with a positive mean and some downside; every third one
     on a 1/4 grid (ties and caps on outcomes), a few with up to 3000 states,
@@ -460,6 +482,56 @@ class TestTruncationEngine:
         assert result.k_hat == pytest.approx(1e-50, rel=1e-9) and result.truncated
         assert result.mhr == pytest.approx(oracle_mhr(pay.probabilities, pay.values), abs=1e-14)
 
+    def test_a_cap_whose_kept_moments_underflow(self):
+        # The cap sits near 1e-300 under a gain of 1: the kept states' second
+        # moment (~1e-601) underflows, so only rescaled moments find the cap.
+        probs = [0.12, 0.12, 0.12, 0.12, 0.06, 0.40, 0.06]
+        values = [2e-300, 2e-300, -4.8e-301, 0.0, 1.5e-300, 3.4e-301, 1.0]
+        result = monotone_hansen_ratio(ScenarioPayoff.from_arrays(probs, values))
+        mhr, cap = exact_mhr(probs, values)
+        assert result.mhr == pytest.approx(mhr, rel=1e-15)
+        assert result.k_hat == pytest.approx(cap, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "probs, values",
+        [
+            (
+                [0.1142331358822508, 0.14192734938342075, 0.15941426311413412,
+                 0.18417768902093762, 0.07766378162794436, 0.32258378097131235],
+                [1.5068485388408072e-230, 1.4574765395188439e-199, 1.3792104030960165e-128,
+                 -3.346655303683262e-282, 9.189851619157907e+126, 5.0672675621452925e+104],
+            ),
+            (
+                [0.20882068174204832, 0.07965951188497093, 0.19811909760073068,
+                 0.08146456816427917, 0.19606897068091309, 0.2358671699270578],
+                [-2.3776844284568866e-221, 2.5343043124147557e-164, 1.024089435229632e-120,
+                 4.494707395402095e-278, 5.009059214701738e+108, 9.763413680303606e-126],
+            ),
+        ],
+        ids=["cap-on-the-smallest-gain", "loss-that-vanishes-in-units-of-the-largest-gain"],
+    )
+    def test_outcomes_beyond_the_range_of_one_scale(self, probs, values):
+        # Divided by the largest gain, the loss and the smallest gains
+        # underflow to zero, so the line search alone cannot place the cap.
+        result = monotone_hansen_ratio(ScenarioPayoff.from_arrays(probs, values))
+        assert result.mhr == pytest.approx(exact_mhr(probs, values)[0], abs=1e-14)
+
+    def test_matches_the_exact_oracle_across_600_decades(self):
+        rng = np.random.default_rng(86)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(2, 16))
+            probs = random_probs(rng, n)
+            values = rng.choice([-1.0, 1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 150, n)
+            pay = ScenarioPayoff.from_arrays(probs, values)
+            try:
+                result = monotone_hansen_ratio(pay, allow_no_downside=True)
+            except (NonPositiveMeanError, InvalidInputError):
+                continue
+            checked += 1
+            if result.attained:
+                assert result.mhr == pytest.approx(exact_mhr(probs, values)[0], abs=1e-14)
+
     def test_one_line_search_per_payoff(self, monkeypatch):
         calls = []
         line_max = monotone._line_max
@@ -487,14 +559,16 @@ class TestTruncationEngine:
     def test_permuting_the_states_changes_nothing(self):
         rng = np.random.default_rng(84)
         for pay in engine_payoffs(84, 60):
-            order = rng.permutation(len(pay.states))
-            permuted = ScenarioPayoff(tuple(pay.states[i] for i in order))
+            order = rng.permutation(len(pay.values))
+            permuted = ScenarioPayoff.from_arrays(pay.probabilities[order], pay.values[order])
             assert monotone_hansen_ratio(permuted) == monotone_hansen_ratio(pay)
 
     def test_splitting_a_state_changes_nothing(self):
         rng = np.random.default_rng(85)
         for pay in engine_payoffs(85, 60):
-            i = int(rng.integers(len(pay.states)))
-            p, v = pay.states[i]
-            split = ScenarioPayoff(pay.states[:i] + ((p / 2, v), (p / 2, v)) + pay.states[i + 1 :])
+            i = int(rng.integers(len(pay.values)))
+            q, v = pay.probabilities, pay.values
+            split = ScenarioPayoff.from_arrays(
+                np.concatenate((q[:i], [q[i] / 2, q[i] / 2], q[i + 1 :])), np.insert(v, i, v[i])
+            )
             assert monotone_hansen_ratio(split).mhr == monotone_hansen_ratio(pay).mhr

@@ -57,7 +57,7 @@ class TestPropagate:
         assert stats1.hr_sq_x == sp.hr_sq_x
 
     def test_riskless_ratio_geometric_sum_switches_to_horizon(self):
-        market = gram_from_scenarios([ScenarioPayoff(((1.0, 1.0),))], [1.0])
+        market = gram_from_scenarios([ScenarioPayoff.from_arrays([1.0], [1.0])], [1.0])
         sp = special_portfolios(market)
         stats3 = propagate(sp, 3)
         assert stats3.hr_sq_y == 1.0
@@ -127,13 +127,6 @@ class TestTreeOracle:
         oracle = tree_oracle(market, 2)
         assert oracle.hr_sq_x == pytest.approx(closed.hr_sq_x, abs=1e-10)
         assert oracle.mu_y == pytest.approx(closed.mu_y, abs=1e-10)
-
-    def test_mix_leaves_are_the_stable_combination(self):
-        market = two_state_market()
-        sp = special_portfolios(market)
-        tree = product_tree(market, 3)
-        a_n = (sp.mu_y / sp.omega_sq_y) ** 3
-        assert np.abs(tree.mix_leaves - (tree.x_leaves + a_n * tree.y_leaves)).max() < 1e-12
 
     def test_tree_too_large(self):
         rng = np.random.default_rng(82)
