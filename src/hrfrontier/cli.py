@@ -128,6 +128,8 @@ def _grid_points(text: str | None) -> list[float] | None:
         raise InvalidInputError("grid needs at least two points", count=count)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise InvalidInputError("grid upper bound must exceed the lower bound")
+    if not math.isfinite(hi - lo):
+        raise InvalidInputError("grid width leaves the floating-point range", grid=text)
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 

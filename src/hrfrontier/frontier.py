@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import spd_factor
+from ._linalg import cholesky_solve, spd_factor
 from .errors import (
     ArbitrageError,
     DegenerateFrontierError,
@@ -74,14 +74,18 @@ class SpecialPortfolios:
 
 
 class Parabola(NamedTuple):
-    """``value(mu) = level + curvature * (mu - center)**2``."""
+    """``value(mu) = level + curvature * (mu - center)**2``, for a float or an
+    array of means."""
 
     level: float
     curvature: float
     center: float
 
-    def __call__(self, mu: float) -> float:
-        return self.level + self.curvature * (mu - self.center) ** 2
+    def __call__(self, mu: float | np.ndarray) -> float | np.ndarray:
+        # float_power squares by C pow, as Python's float ** does, where an
+        # array's ** 2 multiplies; the two differ in the last bit now and then,
+        # and a mean must get the same value alone as on a grid.
+        return self.level + self.curvature * np.float_power(mu - self.center, 2.0)
 
 
 @dataclass(frozen=True)
@@ -160,22 +164,19 @@ def _z_stats(
 def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     """Solve all three special portfolios off one factorization.
 
-    This is the market's only solve.  The result is memoized on the market,
-    which is frozen with read-only arrays, so the memo cannot go stale; its
-    weight arrays are read-only too.
+    This is the market's only solve: one Cholesky factor of the Gram matrix,
+    then ``G^-1 p`` and ``G^-1 m`` by blocked triangular substitution
+    (``cholesky_solve``), one right-hand side at a time.  The result is
+    memoized on the market, which is frozen with read-only arrays, so the
+    memo cannot go stale; its weight arrays are read-only too.
     """
     memo = market.__dict__.get("_special_portfolios")
     if memo is not None:
         return memo
     lower = spd_factor(market.gram)
-
-    def gram_inverse(rhs: np.ndarray) -> np.ndarray:
-        # Forward then back substitution, one right-hand side at a time.
-        return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
-
     with np.errstate(all="ignore"):  # a solve beyond the float range is rejected below
-        gi_p = gram_inverse(market.prices)
-        gi_m = gram_inverse(market.means)
+        gi_p = cholesky_solve(lower, market.prices)
+        gi_m = cholesky_solve(lower, market.means)
         p_gi_p = float(market.prices @ gi_p)
         if 0.0 < p_gi_p < math.inf:
             w_y = gi_p / p_gi_p
@@ -268,32 +269,45 @@ def frontier_coefficients(sp: SpecialPortfolios) -> FrontierCoefficients:
 def frontier_points(
     coefficients: FrontierCoefficients, mu_grid: Sequence[float]
 ) -> list[FrontierPoint]:
-    """Evaluate both parabolas on a grid of means.
+    """Evaluate both parabolas on a grid of means, as one array expression.
 
     The pointwise identity ``omega**2 - mu**2 = sigma**2`` is re-checked to
-    1e-10; a violation means the coefficients are inconsistent.
+    1e-10; a violation means the coefficients are inconsistent.  A mean whose
+    squared norm leaves the floating-point range is invalid input.  Either
+    failure is raised for the first such mean of the grid.
     """
     if coefficients.degenerate or coefficients.mu_omega is None:
         raise DegenerateFrontierError(
             "degenerate frontier has no parabola to evaluate"
         )
     assert coefficients.mu_sigma is not None
-    points = []
-    for mu in mu_grid:
-        mu = float(mu)
+    mu = np.array(mu_grid, dtype=float)
+    with np.errstate(all="ignore"):  # overflow is rejected below, point by point
         omega_sq = coefficients.mu_omega(mu)
         sigma_sq = coefficients.mu_sigma(mu)
-        if abs(omega_sq - mu * mu - sigma_sq) > 1e-10 * max(1.0, abs(omega_sq)):
-            raise InternalInvariantError(
-                "frontier parabolas violate omega^2 - mu^2 = sigma^2",
-                mu=mu,
-                omega_sq=omega_sq,
-                sigma_sq=sigma_sq,
+        mu_sq = mu * mu
+        # mu**2 <= omega**2, so an overflowing mu**2 is an overflowing point.
+        overflow = ~(np.isfinite(omega_sq) & np.isfinite(sigma_sq) & np.isfinite(mu_sq))
+        residual = np.abs(omega_sq - mu_sq - sigma_sq)
+        broken = residual > 1e-10 * np.maximum(1.0, np.abs(omega_sq))
+    bad = np.flatnonzero(overflow | broken)
+    if bad.size:
+        i = bad[0]
+        context = {
+            "mu": float(mu[i]),
+            "omega_sq": float(omega_sq[i]),
+            "sigma_sq": float(sigma_sq[i]),
+        }
+        if overflow[i]:
+            raise InvalidInputError(
+                "frontier point leaves the floating-point range", **context
             )
-        points.append(
-            FrontierPoint(mu=mu, omega=math.sqrt(omega_sq), sigma=math.sqrt(sigma_sq))
+        raise InternalInvariantError(
+            "frontier parabolas violate omega^2 - mu^2 = sigma^2", **context
         )
-    return points
+    return list(
+        map(FrontierPoint, mu.tolist(), np.sqrt(omega_sq).tolist(), np.sqrt(sigma_sq).tolist())
+    )
 
 
 def check_hansen_bound(sp: SpecialPortfolios) -> HansenBoundReport:

@@ -38,9 +38,10 @@ ARBITRAGE_TOL = 1e-10
 SCENARIO_CONSISTENCY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssetUniverse:
-    """Asset returns summarized by their means and covariance matrix."""
+    """Asset returns summarized by their means and covariance matrix
+    (compared and hashed by identity, like a market)."""
 
     mean_returns: np.ndarray
     covariance: np.ndarray
@@ -69,7 +70,7 @@ class AssetUniverse:
         return self.mean_returns.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMarket:
     """Market description: Gram matrix, mean functional, and prices.
 
@@ -79,6 +80,7 @@ class GramMarket:
     statewise operations (kernel construction, trees) require them.  ``meta``
     carries builder-specific diagnostics such as truncation errors.
     ``special_portfolios`` memoizes the market's one solve on the instance.
+    Markets are compared and hashed by identity, not by their arrays.
     """
 
     gram: np.ndarray

@@ -493,6 +493,31 @@ def test_inputs_at_the_edge_of_the_float_range_end_cleanly(capsys, tmp_path, arg
         assert json.loads(err, parse_constant=reject_constant)["code"] == code
 
 
+@pytest.mark.parametrize("command", [["frontier"], ["multiperiod", "--periods", "2"]])
+@pytest.mark.parametrize("grid, mu", [("1e200:2e200:3", 1e200), ("0:1e155:2", 1e155)])
+def test_frontier_points_outside_the_float_range_are_invalid_input(
+    capsys, market_file, tmp_path, command, grid, mu
+):
+    points = tmp_path / "points.csv"
+    code, out, err = run_cli(
+        capsys, command[0], "--input", str(market_file), *command[1:],
+        "--points-csv", str(points), f"--grid={grid}",
+    )
+    assert code == 1 and out == "" and not points.exists()
+    report = json.loads(err, parse_constant=reject_constant)
+    assert report["code"] == "invalid_input" and report["context"]["mu"] == mu
+
+
+def test_grid_wider_than_the_float_range_is_invalid_input(capsys, market_file, tmp_path):
+    # np.linspace would warn on an infinite width: the test config makes that an error.
+    code, out, err = run_cli(
+        capsys, "frontier", "--input", str(market_file),
+        "--points-csv", str(tmp_path / "points.csv"), "--grid=-1e308:1e308:3",
+    )
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["code"] == "invalid_input"
+
+
 def test_losses_that_vanish_beside_the_gains_still_get_a_cap(capsys, tmp_path):
     # -2.7e-300 / 1e148 underflows to -0.0: the loss bound on the ray is 1/0.
     path = tmp_path / "payoff.csv"

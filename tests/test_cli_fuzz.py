@@ -104,14 +104,30 @@ def sequence_market(draw):
 
 
 MARKET = st.one_of(universe_market(), gram_market(), sequence_market())
-MARKET_ARGV = st.sampled_from(
-    [
-        ["frontier"],
-        ["frontier", "--grid", "0.5:1.5:5"],
-        ["multiperiod", "--periods", "4"],
-        ["multiperiod", "--periods", "5000"],
-        ["hj"],
-    ]
+# Grid bounds near the frontier and out to the edge of the float range.
+GRID_BOUND = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.builds(lambda x, e: x * 10.0**e, st.floats(-1.0, 1.0), st.integers(150, 308)),
+)
+
+
+@st.composite
+def grid_argv(draw):
+    command = draw(st.sampled_from([["frontier"], ["multiperiod", "--periods", "4"]]))
+    lo, hi = sorted([draw(GRID_BOUND), draw(GRID_BOUND)])
+    return [*command, f"--grid={lo!r}:{hi!r}:{draw(st.integers(2, 6))}"]
+
+
+MARKET_ARGV = st.one_of(
+    st.sampled_from(
+        [
+            ["frontier"],
+            ["multiperiod", "--periods", "4"],
+            ["multiperiod", "--periods", "5000"],
+            ["hj"],
+        ]
+    ),
+    grid_argv(),
 )
 
 
@@ -176,7 +192,7 @@ def test_every_market_file_ends_cleanly(market, argv):
         path = os.path.join(tmp, "market.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(market, handle)  # NaN and Infinity tokens included
-        if "--grid" in argv:
+        if argv[-1].startswith("--grid="):
             argv = [*argv, "--points-csv", os.path.join(tmp, "points.csv")]
         _assert_clean_ending(*_run([argv[0], "--input", path, *argv[1:]]))
 

@@ -287,3 +287,15 @@ def test_arrays_are_readonly(benchmark_market):
         benchmark_market.gram[0, 0] = 0.0
     with pytest.raises(ValueError):
         benchmark_market.prices[0] = 2.0
+
+
+def test_markets_compare_and_hash_by_identity(benchmark_market):
+    universe = AssetUniverse(
+        mean_returns=np.array(BENCHMARK_MU), covariance=np.array(BENCHMARK_SIGMA)
+    )
+    twin = gram_from_universe(universe)
+    assert benchmark_market == benchmark_market and benchmark_market != twin
+    assert universe == universe and universe != AssetUniverse(
+        mean_returns=np.array(BENCHMARK_MU), covariance=np.array(BENCHMARK_SIGMA)
+    )
+    assert len({benchmark_market, twin, universe, universe}) == 3
