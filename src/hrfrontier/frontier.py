@@ -43,7 +43,12 @@ MEAN_Y_ZERO_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpecialPortfolios:
-    """Weights and summary statistics of the portfolios y, x, and z."""
+    """Weights and summary statistics of the portfolios y, x, and z.
+
+    ``slack`` is ``1 - hr_sq_x - hr_sq_y`` clamped at zero: the squared ratio
+    left to payoffs outside the market.  The statistics of z are formed from
+    it, so they never subtract the two ratios from one a second time.
+    """
 
     w_y: np.ndarray
     w_x: np.ndarray
@@ -52,9 +57,9 @@ class SpecialPortfolios:
     omega_sq_y: float
     hr_sq_y: float
     hr_sq_x: float
+    slack: float
     mu_z: float
     sigma_sq_z: float
-    lambda_hat: float
     max_hr_attained: bool
 
     def to_dict(self) -> dict:
@@ -68,7 +73,6 @@ class SpecialPortfolios:
             "hr_sq_x": self.hr_sq_x,
             "mu_z": self.mu_z,
             "sigma_sq_z": self.sigma_sq_z,
-            "lambda_hat": self.lambda_hat,
             "max_hr_attained": self.max_hr_attained,
         }
 
@@ -136,22 +140,20 @@ class HansenBoundReport:
     passed: bool
 
 
-def _unclamped_variance(omega_sq_y: float, hr_sq_y: float, hr_sq_x: float) -> float:
-    """Variance of z before clamping: negative beyond dust only when
-    ``hr_sq_x + hr_sq_y`` exceeds one."""
-    return omega_sq_y * (1.0 - hr_sq_y / (1.0 - hr_sq_x))
-
-
 def _z_stats(
-    mu_y: float, omega_sq_y: float, hr_sq_y: float, hr_sq_x: float
+    mu_y: float, omega_sq_y: float, hr_sq_y: float, hr_sq_x: float, slack: float
 ) -> tuple[float, float]:
-    """Mean and variance of the minimum-variance unit-cost portfolio."""
+    """Mean and variance of the minimum-variance unit-cost portfolio.
+
+    With ``1 - hr_sq_x = hr_sq_y + slack``, ``mu_z = mu_y / (1 - hr_sq_x)``
+    and ``sigma_sq_z = omega_sq_y * slack / (1 - hr_sq_x)``.
+    """
     if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
         raise ArbitrageError(
             "zero-cost squared ratio too close to one", hr_sq_x=hr_sq_x
         )
-    mu_z = mu_y / (1.0 - hr_sq_x)
-    sigma_sq_z = _unclamped_variance(omega_sq_y, hr_sq_y, hr_sq_x)
+    mu_z = mu_y / (hr_sq_y + slack)
+    sigma_sq_z = omega_sq_y * slack / (hr_sq_y + slack)
     if sigma_sq_z < 0.0:
         if sigma_sq_z < -VARIANCE_CLAMP_TOL:
             raise InternalInvariantError(
@@ -191,7 +193,7 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         raise InvalidInputError("the market's solve leaves the floating-point range")
     if hr_sq_x < 0.0:
         # With hr_sq_y alone above one the feasibility test below rejects it.
-        feasible = _unclamped_variance(omega_sq_y, hr_sq_y, 0.0) >= -VARIANCE_CLAMP_TOL
+        feasible = omega_sq_y * (1.0 - hr_sq_y) >= -VARIANCE_CLAMP_TOL
         if hr_sq_x < -VARIANCE_CLAMP_TOL and feasible:
             raise InternalInvariantError(
                 "squared ratio of the zero-cost optimum came out negative",
@@ -205,14 +207,16 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         )
     # The projection of the unit payoff onto the market has squared norm
     # hr_sq_x + hr_sq_y, at most one; a hand-written Gram matrix can break
-    # that.  The test is the one _z_stats clamps on, so the two agree.
-    if _unclamped_variance(omega_sq_y, hr_sq_y, hr_sq_x) < -VARIANCE_CLAMP_TOL:
+    # that.  Beyond this test the excess is rounding, and the slack is
+    # clamped at zero.
+    if omega_sq_y * (1.0 - hr_sq_y / (1.0 - hr_sq_x)) < -VARIANCE_CLAMP_TOL:
         raise InvalidInputError(
             "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
             hr_sq_x=hr_sq_x,
             hr_sq_y=hr_sq_y,
         )
-    mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x)
+    slack = max(0.0, 1.0 - hr_sq_x - hr_sq_y)
+    mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x, slack)
     w_z = w_y + mu_z * w_x
     for weights in (w_y, w_x, w_z):
         weights.flags.writeable = False
@@ -226,9 +230,9 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         omega_sq_y=omega_sq_y,
         hr_sq_y=hr_sq_y,
         hr_sq_x=hr_sq_x,
+        slack=slack,
         mu_z=mu_z,
         sigma_sq_z=sigma_sq_z,
-        lambda_hat=mu_z,
         max_hr_attained=abs(mu_y) > MEAN_Y_ZERO_TOL * scale,
     )
     object.__setattr__(market, "_special_portfolios", memo)
@@ -312,12 +316,12 @@ def frontier_points(
 
 def check_hansen_bound(sp: SpecialPortfolios) -> HansenBoundReport:
     """Check ``hr_sq_x + hr_sq_y <= 1``; the slack is the squared ratio left
-    to payoffs outside the market."""
+    to payoffs outside the market, clamped at zero."""
     total = sp.hr_sq_x + sp.hr_sq_y
     return HansenBoundReport(
         hr_sq_x=sp.hr_sq_x,
         hr_sq_y=sp.hr_sq_y,
         total=total,
-        slack=1.0 - total,
+        slack=sp.slack,
         passed=total <= 1.0 + 1e-10,
     )

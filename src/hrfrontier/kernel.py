@@ -134,7 +134,6 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
 
     v_mean = float(q @ v_vals)
     v_second = float(q @ (v_vals * v_vals))
-    slack = 1.0 - sp.hr_sq_x - sp.hr_sq_y
     if v_second <= ZERO_RESIDUAL_TOL:
         v_vals = np.zeros_like(v_vals)
         hr_sq_v = 0.0
@@ -147,11 +146,11 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
                 mean=v_mean,
                 second_moment=v_second,
             )
-    if abs(hr_sq_v - slack) > 1e-10:
+    if abs(hr_sq_v - sp.slack) > 1e-10:
         raise InternalInvariantError(
             "residual ratio disagrees with the frontier slack",
             hr_sq_v=hr_sq_v,
-            slack=slack,
+            slack=sp.slack,
         )
     orth = (q * v_vals) @ values
     if float(np.abs(orth).max()) > 1e-10 * max(1.0, float(np.abs(values).max())):

@@ -4,8 +4,10 @@ A market is summarized by the inner products of its spanning payoffs, the
 "mean" functional (inner product with the unit payoff), and a price vector.
 The same container covers three constructions: an asset universe given by
 mean returns and a covariance matrix, an explicit list of scenario payoffs,
-and a discounted sequence space of dated cash flows.  States are read-only
-arrays, and every Gram entry and mean is one compensated sum over them.
+and a discounted sequence space of dated cash flows.  A sequence market is a
+scenario market too: its states are (date, state) atoms, and one constructor
+builds both.  States are read-only arrays, and every Gram entry and mean is
+one compensated sum over them.
 """
 
 from __future__ import annotations
@@ -197,47 +199,24 @@ def gram_from_scenarios(
     basis = tuple(basis)
     if not basis:
         raise InvalidInputError("scenario basis is empty")
-    prices_arr = np.asarray(list(prices), dtype=float)
-    if prices_arr.shape != (len(basis),):
-        raise InvalidInputError(
-            "price vector length does not match basis",
-            prices=prices_arr.shape[0] if prices_arr.ndim == 1 else -1,
-            basis=len(basis),
-        )
     q = basis[0].probabilities
     probs = [b.probabilities for b in basis]
     if any(p.shape != q.shape for p in probs) or (np.array(probs) != q).any():
         raise StateSpaceMismatchError("scenario payoffs do not share one state space")
-    values = np.column_stack([b.values for b in basis])
+    return _scenario_market(q, np.column_stack([b.values for b in basis]), prices, {})
+
+
+def _scenario_market(
+    q: np.ndarray, values: np.ndarray, prices: Sequence[float], meta: Mapping[str, float]
+) -> GramMarket:
+    """The one constructor of scenario-backed markets: the moments of the
+    states' values, the market holding those states, then its validation."""
     means, gram = moment_sums(q, values)
     market = GramMarket(
-        gram=gram, means=means, prices=prices_arr, state_probabilities=q, scenario_values=values
+        gram, means, prices, state_probabilities=q, scenario_values=values, meta=meta
     )
     validate_market(market)
     return market
-
-
-def scenario_universe(universe: AssetUniverse) -> GramMarket:
-    """Scenario-backed market that matches a universe's moments exactly.
-
-    Lifts the assets onto ``2**ceil(log2(n + 1))`` equally likely states using
-    sign patterns with identity covariance, so means and covariances are
-    reproduced to machine precision.  Useful when statewise operations are
-    needed but only (means, covariance) are known.
-    """
-    n = universe.n
-    hadamard = np.ones((1, 1))
-    while hadamard.shape[0] < n + 1:  # Sylvester's construction
-        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
-    n_states = hadamard.shape[0]
-    signs = hadamard[1 : n + 1, :]
-    lower = spd_factor(universe.covariance, name="covariance matrix")
-    values = (universe.mean_returns[:, None] + lower @ signs).T
-    probs = np.full(n_states, 1.0 / n_states)
-    basis = [
-        ScenarioPayoff.from_arrays(probs, values[:, i]) for i in range(n)
-    ]
-    return gram_from_scenarios(basis, np.ones(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,45 +293,43 @@ class SequenceSpaceSpec:
 def gram_from_sequence_space(
     spec: SequenceSpaceSpec, prices: Sequence[float]
 ) -> GramMarket:
-    """Market on the discounted sequence space.
+    """Market on the discounted sequence space, as a scenario market.
 
-    The unit payoff is the constant cash flow 1 at every date up to the
-    horizon, rescaled to norm one; the applied scale factor and the geometric
-    tail discarded by truncation are reported in ``meta``.
+    The inner product is an expectation over (date, state) atoms: state ``s``
+    of date ``t`` has probability ``beta/(1-beta) * beta**t * q_s / M`` and
+    values ``sqrt(M) * v``, where ``M`` is the squared norm of the constant
+    cash flow 1 at every date up to the horizon.  That flow, rescaled to norm
+    one, is the unit payoff 1 on the atoms.  One zero-valued atom carries the
+    mass of the dates up to the horizon that are not listed; an atom whose
+    probability underflows to zero is dropped.  The applied scale factor
+    ``1/sqrt(M)`` and the geometric tail discarded by truncation are reported
+    in ``meta``.
     """
     beta = spec.beta
-    n = spec.n_elements
-    prices_arr = np.asarray(list(prices), dtype=float)
-    if prices_arr.shape != (n,):
-        raise InvalidInputError(
-            "price vector length does not match spec", n=n
-        )
     lead = beta / (1.0 - beta)
     # Norm of the truncated constant unit cash flow.
     raw_unit_norm_sq = lead * beta * (1.0 - beta**spec.horizon) / (1.0 - beta)
     if raw_unit_norm_sq < sys.float_info.min:
         raise InvalidBetaError("discount parameter underflows floating point", beta=beta)
-    scale = 1.0 / math.sqrt(raw_unit_norm_sq)
-    gram = np.zeros((n, n))
-    raw_means = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # the market rejects inf and NaN
-        for flow in spec.flows:
-            weight = lead * beta**flow.date
-            flow_means, flow_gram = moment_sums(flow.probabilities, flow.values.T)
-            raw_means += weight * flow_means
-            gram += weight * flow_gram
-        means = raw_means * scale
-    market = GramMarket(
-        gram=gram,
-        means=means,
-        prices=prices_arr,
-        meta={
-            "unit_payoff_scale": scale,
-            "truncation_tail": beta ** (spec.horizon + 1) / (1.0 - beta),
-        },
-    )
-    validate_market(market)
-    return market
+    root = math.sqrt(raw_unit_norm_sq)
+    # The date masses in a form that keeps each at most one: a lone date
+    # of a one-date horizon gets exactly 1.
+    first = (1.0 - beta) / (1.0 - beta**spec.horizon)
+    masses = [first * beta ** (flow.date - 1) for flow in spec.flows]
+    q = [mass * flow.probabilities for mass, flow in zip(masses, spec.flows)]
+    values = [flow.values.T for flow in spec.flows]
+    if len(spec.flows) < spec.horizon:
+        q.append([1.0 - math.fsum(masses)])
+        values.append(np.zeros((1, spec.n_elements)))
+    q, values = np.concatenate(q), np.concatenate(values)
+    kept = q > 0.0
+    with np.errstate(over="ignore"):  # the market rejects infinite values
+        values = root * values[kept]
+    meta = {
+        "unit_payoff_scale": 1.0 / root,
+        "truncation_tail": beta ** (spec.horizon + 1) / (1.0 - beta),
+    }
+    return _scenario_market(q[kept], values, prices, meta)
 
 
 def _float_array(data: Mapping[str, Any], name: str) -> np.ndarray:

@@ -39,13 +39,18 @@ GEOMETRIC_SWITCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MultiperiodStats:
-    """Frontier statistics of the n-period dynamically rebalanced market."""
+    """Frontier statistics of the n-period dynamically rebalanced market.
+
+    ``slack`` is the n-period ``1 - hr_sq_x - hr_sq_y``, carried rather than
+    formed by subtraction (see :class:`SpecialPortfolios`).
+    """
 
     horizon: int
     mu_y: float
     omega_sq_y: float
     hr_sq_y: float
     hr_sq_x: float
+    slack: float
 
     def __post_init__(self) -> None:
         if not isinstance(self.horizon, int) or self.horizon < 1:
@@ -72,6 +77,7 @@ class MultiperiodStats:
             "omega_sq_y": self.omega_sq_y,
             "hr_sq_y": self.hr_sq_y,
             "hr_sq_x": self.hr_sq_x,
+            "slack": self.slack,
         }
 
 
@@ -86,7 +92,8 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
     """Closed-form n-period statistics from one-period statistics.
 
     ``mu_y`` and ``omega_sq_y`` are raised to the n-th power; the zero-cost
-    ratio compounds as ``hr_sq_x * sum_t hr_sq_y**t``.
+    ratio compounds as ``hr_sq_x * sum_t hr_sq_y**t`` and the slack as
+    ``slack * sum_t hr_sq_y**t``.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
@@ -113,6 +120,7 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
         omega_sq_y=omega_sq_y,
         hr_sq_y=one_period.hr_sq_y**horizon,
         hr_sq_x=gsum * one_period.hr_sq_x,
+        slack=gsum * one_period.slack,
     )
 
 
@@ -189,19 +197,21 @@ def tree_oracle(market: GramMarket, horizon: int) -> MultiperiodStats:
             mean=mu_x,
             second_moment=omega_sq_x,
         )
+    hr_sq_y, hr_sq_x = mu_y * mu_y / omega_sq_y, max(0.0, mu_x)
     return MultiperiodStats(
         horizon=horizon,
         mu_y=mu_y,
         omega_sq_y=omega_sq_y,
-        hr_sq_y=mu_y * mu_y / omega_sq_y,
-        hr_sq_x=max(0.0, mu_x),
+        hr_sq_y=hr_sq_y,
+        hr_sq_x=hr_sq_x,
+        slack=max(0.0, 1.0 - hr_sq_x - hr_sq_y),
     )
 
 
 def multiperiod_frontier(stats: MultiperiodStats) -> FrontierCoefficients:
     """Frontier parabolas of the n-period market (same machinery as one period)."""
     mu_z, sigma_sq_z = _z_stats(
-        stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, stats.hr_sq_x
+        stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, stats.hr_sq_x, stats.slack
     )
     return _parabolas(
         stats.mu_y,

@@ -13,6 +13,7 @@ from hrfrontier import (
     ScenarioPayoff,
     gram_from_scenarios,
     gram_from_universe,
+    market_from_json,
 )
 
 BENCHMARK_MU = [1.162, 1.246, 1.228]
@@ -37,6 +38,35 @@ def random_universe(rng: np.random.Generator, n: int) -> AssetUniverse:
     cov = factor @ factor.T / (n + 2) + 0.05 * np.eye(n)
     mu = rng.uniform(0.5, 1.5, n)
     return AssetUniverse(mean_returns=mu, covariance=cov)
+
+
+def scenario_universe(universe: AssetUniverse) -> GramMarket:
+    """Scenario-backed market that matches a universe's moments exactly.
+
+    Lifts the assets onto ``2**ceil(log2(n + 1))`` equally likely states using
+    sign patterns with identity covariance, so means and covariances are
+    reproduced to machine precision.
+    """
+    n = universe.n
+    hadamard = np.ones((1, 1))
+    while hadamard.shape[0] < n + 1:  # Sylvester's construction
+        hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+    n_states = hadamard.shape[0]
+    signs = hadamard[1 : n + 1, :]
+    lower = np.linalg.cholesky(universe.covariance)
+    values = (universe.mean_returns[:, None] + lower @ signs).T
+    probs = np.full(n_states, 1.0 / n_states)
+    basis = [
+        ScenarioPayoff.from_arrays(probs, values[:, i]) for i in range(n)
+    ]
+    return gram_from_scenarios(basis, np.ones(n))
+
+
+def lifted_benchmark() -> GramMarket:
+    """The benchmark universe lifted onto scenarios by :func:`scenario_universe`."""
+    return scenario_universe(
+        AssetUniverse(np.array(BENCHMARK_MU), np.array(BENCHMARK_SIGMA))
+    )
 
 
 def random_market(rng: np.random.Generator, n: int) -> GramMarket:
@@ -70,6 +100,28 @@ def random_scenario_market(
         except Exception:
             continue
     raise RuntimeError("failed to generate a scenario market")
+
+
+def random_sequence_market(rng: np.random.Generator, n_elements: int) -> GramMarket:
+    """Sequence market with three-state flows at dates 1 and 3 of horizon 4,
+    so its atoms include the zero atom of the unlisted dates 2 and 4."""
+    flows = [
+        {
+            "date": date,
+            "probabilities": random_probs(rng, 3).tolist(),
+            "values": (1.0 + rng.uniform(-0.3, 0.3, (n_elements, 3))).tolist(),
+        }
+        for date in (1, 3)
+    ]
+    return market_from_json(
+        {
+            "kind": "sequence",
+            "beta": float(rng.uniform(0.6, 0.95)),
+            "horizon": 4,
+            "prices": rng.uniform(0.8, 1.2, n_elements).tolist(),
+            "flows": flows,
+        }
+    )
 
 
 def random_payoff(

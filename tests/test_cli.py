@@ -178,6 +178,43 @@ def test_well_formed_sequence_market_is_accepted(capsys, tmp_path):
     assert json.loads(out)["portfolios"]["omega_sq_y"] > 0.0
 
 
+def test_scalar_price_vector_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "market.json"
+    two_elements = FLOW.replace("[[1.0, 2.0]]", "[[1.0, 2.0], [2.0, 1.0]]")
+    path.write_text(SEQUENCE.format(flow=two_elements).replace('"prices": [1.0]', '"prices": 1.0'))
+    code, out, err = run_cli(capsys, "frontier", "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
+# Complete, with hr_sq_x + hr_sq_y = 1 + 7e-16 at one period: the minimum
+# variance is zero at every horizon, not the rounding of one minus the ratios.
+COMPLETE_SEQUENCE = {
+    "kind": "sequence",
+    "beta": 0.7537449598547995,
+    "horizon": 1,
+    "prices": [0.5, 0.5157044772716428],
+    "flows": [
+        {
+            "date": 1,
+            "probabilities": [0.4082068722144471, 0.5917931277855529],
+            "values": [[0.0, 1.8567201616318236], [1.6183242471537493, 0.7537449598547995]],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize("periods", ["3", "4", "8", "50"])
+def test_complete_market_has_zero_minimum_variance_at_every_horizon(capsys, tmp_path, periods):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(COMPLETE_SEQUENCE))
+    code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", periods)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["frontier"]["mu_sigma"]["level"] == 0.0
+    assert report["multiperiod"]["slack"] == 0.0
+
+
 def test_stderr_is_one_json_line_when_moments_overflow(tmp_path):
     # numpy reports the overflow as a RuntimeWarning on stderr unless it is
     # caught, and then stderr is no longer pure JSON.

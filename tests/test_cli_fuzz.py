@@ -1,8 +1,9 @@
 """Fuzz of the command line over generated market JSON and scenario CSV files.
 
 Every run must end in one of two ways: exit 0 with a JSON report on stdout,
-or exit 1 or 2 with one strict-JSON error line on stderr that is not the
-last-resort ``internal_error`` (an exception the code did not expect).
+or exit 1 with one strict-JSON error line on stderr.  Exit 2, with the
+last-resort ``internal_error`` (an exception the code did not expect) or an
+``internal_invariant`` (a broken identity), is a bug on any input.
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ def sequence_market(draw):
     return {"kind": "sequence", "beta": beta, "horizon": horizon, "prices": prices, "flows": flows}
 
 
+@st.composite
+def complete_sequence_market(draw):
+    """One date of a one-date horizon, as many payoffs as states: the
+    market spans every payoff, so its ratios sum to one up to rounding."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    values = draw(st.lists(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n), min_size=n, max_size=n))
+    flow = {"date": 1, "probabilities": [w / total for w in weights], "values": values}
+    beta = draw(st.floats(0.05, 0.95))
+    prices = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return {"kind": "sequence", "beta": beta, "horizon": 1, "prices": prices, "flows": [flow]}
+
+
 MARKET = st.one_of(universe_market(), gram_market(), sequence_market())
 # Grid bounds near the frontier and out to the edge of the float range.
 GRID_BOUND = st.one_of(
@@ -182,7 +197,7 @@ def _assert_clean_ending(code: int, out: str, err: str) -> None:
     assert len(lines) == 1, err
     report = json.loads(lines[0], parse_constant=_reject_constant)
     assert set(report) == {"code", "message", "context"}
-    assert report["code"] != "internal_error", report
+    assert report["code"] not in ("internal_error", "internal_invariant"), report
 
 
 @FUZZ
@@ -195,6 +210,18 @@ def test_every_market_file_ends_cleanly(market, argv):
         if argv[-1].startswith("--grid="):
             argv = [*argv, "--points-csv", os.path.join(tmp, "points.csv")]
         _assert_clean_ending(*_run([argv[0], "--input", path, *argv[1:]]))
+
+
+@settings(FUZZ, max_examples=300)
+@given(market=complete_sequence_market(), periods=st.sampled_from(["2", "3", "4", "8", "50"]))
+def test_every_complete_market_ends_cleanly(market, periods):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(market, handle)
+        code, out, err = _run(["multiperiod", "--input", path, "--periods", periods])
+        assert code in (0, 1)
+        _assert_clean_ending(code, out, err)
 
 
 @FUZZ

@@ -256,7 +256,6 @@ class TestRandomMarketInvariants:
             assert np.array_equal(sp.w_z, sp.w_y + sp.mu_z * sp.w_x)
             assert sp.sigma_sq_z >= 0.0
             assert sp.hr_sq_x + sp.hr_sq_y <= 1.0 + 1e-10
-            assert sp.lambda_hat == sp.mu_z
             assert sp.max_hr_attained
 
     def test_unit_cost_decomposition(self):

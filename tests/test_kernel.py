@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hrfrontier import (
-    AssetUniverse,
     NotAKernelError,
     NotScenarioBackedError,
     ScenarioPayoff,
@@ -11,11 +10,11 @@ from hrfrontier import (
     gram_from_scenarios,
     hj_bounds,
     kernel_frontier,
-    scenario_universe,
+    market_from_json,
     special_portfolios,
     stats,
 )
-from conftest import BENCHMARK_MU, BENCHMARK_SIGMA, random_scenario_market
+from conftest import lifted_benchmark, random_scenario_market, random_sequence_market
 
 # Exact-rational bound values for the benchmark market.
 BENCH_HR_BOUND = 0.6433507208320525
@@ -40,12 +39,6 @@ def complete_market():
     kernel = np.array([0.9, 1.1])
     prices = [0.6 * 0.9, 0.4 * 1.1]
     return gram_from_scenarios([first, second], prices), kernel
-
-
-def lifted_benchmark():
-    return scenario_universe(
-        AssetUniverse(np.array(BENCHMARK_MU), np.array(BENCHMARK_SIGMA))
-    )
 
 
 class TestKernelFrontier:
@@ -101,6 +94,11 @@ class TestKernelFrontier:
     def test_requires_scenarios(self, benchmark_market):
         with pytest.raises(NotScenarioBackedError):
             kernel_frontier(benchmark_market)
+
+    def test_gram_market_has_no_states(self):
+        market = market_from_json({"kind": "gram", "G": [[1.25]], "m": [1.1], "p": [1.0]})
+        with pytest.raises(NotScenarioBackedError):
+            kernel_frontier(market)
 
 
 class TestBounds:
@@ -215,6 +213,15 @@ class TestRandomKernelSweep:
                 continue
             diag = check_kernel(frontier.kernel(frontier.eta_star), market)
             assert diag.hr_sq_m == pytest.approx(diag.hr_bound, abs=1e-10)
+
+    def test_optimal_eta_attains_equality_on_sequence_markets(self):
+        rng = np.random.default_rng(55)
+        for n in (1, 2, 3) * 5:
+            market = random_sequence_market(rng, n)
+            frontier = kernel_frontier(market)
+            diag = check_kernel(frontier.kernel(frontier.eta_star), market)
+            hr_sq_x = special_portfolios(market).hr_sq_x
+            assert diag.hr_sq_m == pytest.approx(1.0 - hr_sq_x, abs=1e-10)
 
     def test_frontier_family_ratio_subadditivity(self):
         rng = np.random.default_rng(53)

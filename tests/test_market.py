@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +22,15 @@ from hrfrontier import (
     gram_from_sequence_space,
     gram_from_universe,
     market_from_json,
-    scenario_universe,
     validate_market,
 )
-from conftest import BENCHMARK_MU, BENCHMARK_SIGMA, random_probs, random_universe
+from conftest import (
+    BENCHMARK_MU,
+    BENCHMARK_SIGMA,
+    random_probs,
+    random_universe,
+    scenario_universe,
+)
 
 
 class TestUniverse:
@@ -238,6 +245,83 @@ class TestSequenceSpace:
             SequenceSpaceSpec(beta=0.5, horizon=4, flows=flows)
 
 
+def rational_flows(dates) -> tuple[DatedFlows, ...]:
+    """Two elements on two states at each date, all exact binary fractions."""
+    return tuple(
+        DatedFlows(
+            date=t,
+            probabilities=(0.25, 0.75),
+            values=((0.5 * t, 1.25), (2.0, 0.125 * t)),
+        )
+        for t in dates
+    )
+
+
+def exact_sequence_moments(spec: SequenceSpaceSpec):
+    """``beta/(1-beta) * sum_t beta**t E[v_t w_t]`` and the means, in rationals;
+    each mean comes back squared, as the unit payoff's norm is a square root."""
+    beta = Fraction(spec.beta)
+    lead = beta / (1 - beta)
+    unit_norm_sq = sum(lead * beta**t for t in range(1, spec.horizon + 1))
+    n = spec.n_elements
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    raw_means = [Fraction(0)] * n
+    for flow in spec.flows:
+        weight = lead * beta**flow.date
+        q = [Fraction(p) for p in flow.probabilities]
+        rows = [[Fraction(v) for v in row] for row in flow.values]
+        for i in range(n):
+            raw_means[i] += weight * sum(p * v for p, v in zip(q, rows[i]))
+            for j in range(n):
+                gram[i][j] += weight * sum(p * v * w for p, v, w in zip(q, rows[i], rows[j]))
+    return gram, [m * m / unit_norm_sq for m in raw_means], unit_norm_sq
+
+
+class TestSequenceAtoms:
+    @pytest.mark.parametrize("dates, horizon", [((1, 2, 3), 3), ((1, 3), 5)])
+    def test_moments_match_exact_rationals(self, dates, horizon):
+        spec = SequenceSpaceSpec(beta=0.75, horizon=horizon, flows=rational_flows(dates))
+        market = gram_from_sequence_space(spec, [1.0, 0.5])
+        gram, means_sq, _ = exact_sequence_moments(spec)
+        for i in range(2):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                exact = (Decimal(means_sq[i].numerator) / means_sq[i].denominator).sqrt()
+                assert abs(Decimal(market.means[i]) / exact - 1) < Decimal("1e-15")
+            for j in range(2):
+                assert abs(Fraction(market.gram[i, j]) / gram[i][j] - 1) < 1e-15
+
+    @pytest.mark.parametrize("dates, horizon", [((1, 2, 3), 3), ((1, 3), 5), ((2,), 2)])
+    def test_zero_atom_carries_the_unlisted_dates(self, dates, horizon):
+        spec = SequenceSpaceSpec(beta=0.75, horizon=horizon, flows=rational_flows(dates))
+        market = gram_from_sequence_space(spec, [1.0, 0.5])
+        q, values = market.state_probabilities, market.scenario_values
+        assert market.is_scenario_backed
+        assert abs(math.fsum(q.tolist()) - 1.0) <= 1e-12
+        zero = ~values.any(axis=1)
+        if len(dates) == horizon:
+            assert not zero.any() and len(q) == 2 * len(dates)
+        else:
+            assert zero.sum() == 1 and len(q) == 2 * len(dates) + 1
+            beta = Fraction(spec.beta)
+            unlisted = [t for t in range(1, horizon + 1) if t not in dates]
+            _, _, unit_norm_sq = exact_sequence_moments(spec)
+            mass = sum(beta / (1 - beta) * beta**t for t in unlisted) / unit_norm_sq
+            assert abs(Fraction(float(q[zero][0])) / mass - 1) < 1e-15
+
+    def test_underflowed_date_is_dropped(self):
+        flows = (
+            DatedFlows(date=1, probabilities=(0.5, 0.5), values=((1.0, 2.0),)),
+            DatedFlows(date=90, probabilities=(0.5, 0.5), values=((3.0, 4.0),)),
+        )
+        spec = SequenceSpaceSpec(beta=1e-5, horizon=90, flows=flows)
+        market = gram_from_sequence_space(spec, [1.0])
+        # Date 90 has probability 1e-445, below the float range: the two
+        # atoms of date 1 and the zero atom remain.
+        assert len(market.state_probabilities) == 3
+        assert np.count_nonzero(market.scenario_values) == 2
+
+
 class TestMarketJson:
     def test_universe_kind(self, tmp_path):
         path = tmp_path / "market.json"
@@ -266,6 +350,7 @@ class TestMarketJson:
             }
         )
         assert market.gram[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert market.is_scenario_backed
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):

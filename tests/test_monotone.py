@@ -22,7 +22,12 @@ from hrfrontier import (
     stats,
 )
 from hrfrontier import monotone
-from conftest import random_payoff, random_probs, random_scenario_market
+from conftest import (
+    random_payoff,
+    random_probs,
+    random_scenario_market,
+    random_sequence_market,
+)
 
 PROBS = (1 / 6, 1 / 2, 1 / 3)
 W_VALUES = (-0.01, 0.01, 0.02)
@@ -265,6 +270,20 @@ class TestMonotoneKernelBound:
             report = monotone_hj_bound(market, kernel)
             assert report.mhr_ok
             assert report.msr_ok
+
+    def test_sequence_markets_with_nonnegative_kernels(self):
+        rng = np.random.default_rng(74)
+        exercised = 0
+        for n in (1, 2, 3) * 5:
+            market = random_sequence_market(rng, n)
+            frontier = kernel_frontier(market)
+            kernel = frontier.kernel(frontier.eta_star)
+            if min(kernel.values) < 0.0:
+                continue
+            report = monotone_hj_bound(market, kernel)
+            assert report.mhr_ok and report.msr_ok
+            exercised += 1
+        assert exercised > 0
 
     def test_sweep_with_multidimensional_zero_cost_sphere(self):
         rng = np.random.default_rng(73)

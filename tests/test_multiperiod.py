@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hrfrontier import (
-    AssetUniverse,
     InvalidHorizonError,
     NotScenarioBackedError,
     ScenarioPayoff,
@@ -12,11 +13,10 @@ from hrfrontier import (
     multiperiod_frontier,
     product_tree,
     propagate,
-    scenario_universe,
     special_portfolios,
     tree_oracle,
 )
-from conftest import BENCHMARK_MU, BENCHMARK_SIGMA, random_scenario_market
+from conftest import lifted_benchmark, random_scenario_market, random_sequence_market
 
 # Exact-rational four-period statistics of the benchmark market.
 BENCH4_HR_SQ_X = 0.8154962271794837
@@ -25,12 +25,6 @@ BENCH4_OMEGA_SQ_Y = 0.5757088427422385
 BENCH4_MU_Z = 1.646632237914963
 BENCH4_SIGMA_SQ_Z = 0.07544573250468156
 BENCH4_SR_INV_SQ = 0.22624724268639523
-
-
-def lifted_benchmark():
-    return scenario_universe(
-        AssetUniverse(np.array(BENCHMARK_MU), np.array(BENCHMARK_SIGMA))
-    )
 
 
 def two_state_market():
@@ -55,6 +49,20 @@ class TestPropagate:
         assert stats1.omega_sq_y == sp.omega_sq_y
         assert stats1.hr_sq_y == sp.hr_sq_y
         assert stats1.hr_sq_x == sp.hr_sq_x
+        assert stats1.slack == sp.slack
+
+    def test_slack_folds_over_periods(self, benchmark_market):
+        # 1 - total_n = s + hr_sq_y * (1 - total_(n-1)), in exact rationals
+        # from the one-period floats.
+        sp = special_portfolios(benchmark_market)
+        hr_sq_y, slack = Fraction(sp.hr_sq_y), Fraction(sp.slack)
+        exact = Fraction(0)
+        for n in range(1, 9):
+            exact = slack + hr_sq_y * exact
+            stats_n = propagate(sp, n)
+            assert stats_n.slack == pytest.approx(float(exact), rel=1e-14)
+            total = stats_n.hr_sq_x + stats_n.hr_sq_y + stats_n.slack
+            assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_riskless_ratio_geometric_sum_switches_to_horizon(self):
         market = gram_from_scenarios([ScenarioPayoff.from_arrays([1.0], [1.0])], [1.0])
@@ -127,6 +135,17 @@ class TestTreeOracle:
         oracle = tree_oracle(market, 2)
         assert oracle.hr_sq_x == pytest.approx(closed.hr_sq_x, abs=1e-10)
         assert oracle.mu_y == pytest.approx(closed.mu_y, abs=1e-10)
+
+    def test_propagate_matches_oracle_on_sequence_markets(self):
+        rng = np.random.default_rng(84)
+        for n in (1, 2, 3) * 3:
+            market = random_sequence_market(rng, n)
+            closed = propagate(special_portfolios(market), 2)
+            oracle = tree_oracle(market, 2)
+            for name in ("mu_y", "omega_sq_y", "hr_sq_y", "hr_sq_x", "slack"):
+                assert getattr(oracle, name) == pytest.approx(
+                    getattr(closed, name), rel=1e-12, abs=1e-12
+                ), name
 
     def test_tree_too_large(self):
         rng = np.random.default_rng(82)
