@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,8 +30,12 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .market import ARBITRAGE_TOL, GramMarket
 
+if TYPE_CHECKING:
+    from .market import GramMarket
+
+#: Solving is refused when the best zero-cost squared ratio reaches 1 - this.
+ARBITRAGE_TOL = 1e-10
 #: Below this squared ratio the zero-cost side is treated as empty of
 #: opportunities and the frontier degenerates to a point per cost level.
 DEGENERATE_X_TOL = 1e-14
@@ -86,10 +90,8 @@ class Parabola(NamedTuple):
     center: float
 
     def __call__(self, mu: float | np.ndarray) -> float | np.ndarray:
-        # float_power squares by C pow, as Python's float ** does, where an
-        # array's ** 2 multiplies; the two differ in the last bit now and then,
-        # and a mean must get the same value alone as on a grid.
-        return self.level + self.curvature * np.float_power(mu - self.center, 2.0)
+        d = mu - self.center
+        return self.level + self.curvature * (d * d)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ The same container covers three constructions: an asset universe given by
 mean returns and a covariance matrix, an explicit list of scenario payoffs,
 and a discounted sequence space of dated cash flows.  A sequence market is a
 scenario market too: its states are (date, state) atoms, and one constructor
-builds both.  States are read-only arrays, and every Gram entry and mean is
-one compensated sum over them.
+builds both.  Only the two scenario builders attach states: read-only
+arrays, and every Gram entry and mean is one compensated sum over them, so a
+market's moments and its states cannot disagree.
 """
 
 from __future__ import annotations
@@ -25,19 +26,13 @@ import numpy as np
 from ._linalg import spd_factor
 from .errors import (
     DegeneratePricesError,
-    HRFrontierError,
     InvalidBetaError,
     InvalidHorizonError,
     InvalidInputError,
-    NotPositiveDefiniteError,
     StateSpaceMismatchError,
 )
+from .frontier import special_portfolios
 from .moments import ScenarioPayoff, check_states, moment_sums, readonly
-
-#: Solving is refused when the best zero-cost squared ratio reaches 1 - this.
-ARBITRAGE_TOL = 1e-10
-#: Scenario-backed Gram entries must match direct expectations this closely.
-SCENARIO_CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,11 +71,13 @@ class AssetUniverse:
 class GramMarket:
     """Market description: Gram matrix, mean functional, and prices.
 
-    A scenario market also holds its states, as the read-only arrays
+    A market built by ``gram_from_scenarios`` or ``gram_from_sequence_space``
+    also holds the states its moments are sums over, as the read-only arrays
     ``state_probabilities`` (one per state) and ``scenario_values`` (one row
-    per state, one column per spanning payoff), checked like a payoff's;
-    statewise operations (kernel construction, trees) require them.  ``meta``
-    carries builder-specific diagnostics such as truncation errors.
+    per state, one column per spanning payoff); statewise operations (kernel
+    construction, trees) require them.  A hand-built market has none, and
+    ``special_portfolios`` is its one deep check.  ``meta`` carries
+    builder-specific diagnostics such as truncation errors.
     ``special_portfolios`` memoizes the market's one solve on the instance.
     Markets are compared and hashed by identity, not by their arrays.
     """
@@ -88,9 +85,9 @@ class GramMarket:
     gram: np.ndarray
     means: np.ndarray
     prices: np.ndarray
-    state_probabilities: np.ndarray | None = None
-    scenario_values: np.ndarray | None = None
     meta: Mapping[str, float] = field(default_factory=dict)
+    state_probabilities: np.ndarray | None = field(default=None, init=False)
+    scenario_values: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         gram = readonly(np.atleast_2d(self.gram))
@@ -114,17 +111,6 @@ class GramMarket:
             raise InvalidInputError("gram matrix is not symmetric")
         if not np.any(prices):
             raise DegeneratePricesError("all prices are zero; no unit-cost payoff exists")
-        if self.state_probabilities is not None or self.scenario_values is not None:
-            q, values = readonly(self.state_probabilities), readonly(self.scenario_values)
-            object.__setattr__(self, "state_probabilities", q)
-            object.__setattr__(self, "scenario_values", values)
-            if q.ndim != 1 or values.ndim != 2 or values.shape[1] != n:
-                raise InvalidInputError(
-                    "scenario market needs a probability vector and one value column per payoff",
-                    shape=list(values.shape),
-                    n=n,
-                )
-            check_states(q, values)
 
     @property
     def n(self) -> int:
@@ -133,47 +119,6 @@ class GramMarket:
     @property
     def is_scenario_backed(self) -> bool:
         return self.state_probabilities is not None
-
-
-def validate_market(market: GramMarket) -> None:
-    """Deep validation: positive definiteness, scenario consistency, no free lunch.
-
-    Positive definiteness, the no-free-lunch test (the best squared mean/L2
-    ratio at zero cost stays below one) and the feasibility of the moments
-    all come from the market's one solve, ``special_portfolios``; scenario
-    consistency is reported after the first and before the others.
-
-    Builders call this before returning; hand-rolled ``GramMarket`` instances
-    can be checked explicitly.
-    """
-    from .frontier import special_portfolios  # frontier imports this module
-
-    try:
-        special_portfolios(market)
-    except NotPositiveDefiniteError:
-        raise
-    except HRFrontierError:
-        _check_scenario_consistency(market)
-        raise
-    _check_scenario_consistency(market)
-
-
-def _check_scenario_consistency(market: GramMarket) -> None:
-    if not market.is_scenario_backed:
-        return
-    q = market.state_probabilities
-    vals = market.scenario_values
-    gram_direct = (vals * q[:, None]).T @ vals
-    means_direct = q @ vals
-    scale = max(1.0, float(np.abs(market.gram).max()))
-    if float(np.abs(gram_direct - market.gram).max()) > SCENARIO_CONSISTENCY_TOL * scale:
-        raise InvalidInputError(
-            "gram matrix disagrees with scenario expectations"
-        )
-    if float(np.abs(means_direct - market.means).max()) > SCENARIO_CONSISTENCY_TOL * scale:
-        raise InvalidInputError(
-            "mean vector disagrees with scenario expectations"
-        )
 
 
 def gram_from_universe(universe: AssetUniverse) -> GramMarket:
@@ -188,7 +133,7 @@ def gram_from_universe(universe: AssetUniverse) -> GramMarket:
         means=universe.mean_returns,
         prices=np.ones(universe.n),
     )
-    validate_market(market)
+    special_portfolios(market)
     return market
 
 
@@ -210,12 +155,16 @@ def _scenario_market(
     q: np.ndarray, values: np.ndarray, prices: Sequence[float], meta: Mapping[str, float]
 ) -> GramMarket:
     """The one constructor of scenario-backed markets: the moments of the
-    states' values, the market holding those states, then its validation."""
+    states' values, the market holding both, then its solve.  The states are
+    checked after the market's own checks, which report a value that
+    overflowed in a builder's rescaling as a non-finite moment."""
+    q, values = readonly(q), readonly(values)
     means, gram = moment_sums(q, values)
-    market = GramMarket(
-        gram, means, prices, state_probabilities=q, scenario_values=values, meta=meta
-    )
-    validate_market(market)
+    market = GramMarket(gram, means, prices, meta=meta)
+    check_states(q, values)
+    object.__setattr__(market, "state_probabilities", q)
+    object.__setattr__(market, "scenario_values", values)
+    special_portfolios(market)
     return market
 
 
@@ -381,7 +330,7 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
                 means=_float_array(data, "m"),
                 prices=_float_array(data, "p"),
             )
-            validate_market(market)
+            special_portfolios(market)
             return market
         if kind == "sequence":
             try:

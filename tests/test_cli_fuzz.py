@@ -1,9 +1,12 @@
-"""Fuzz of the command line over generated market JSON and scenario CSV files.
+"""Fuzz of the command line over generated market JSON and scenario CSV files,
+and of the statewise library entry points over kernel-priced scenario markets.
 
 Every run must end in one of two ways: exit 0 with a JSON report on stdout,
 or exit 1 with one strict-JSON error line on stderr.  Exit 2, with the
 last-resort ``internal_error`` (an exception the code did not expect) or an
-``internal_invariant`` (a broken identity), is a bug on any input.
+``internal_invariant`` (a broken identity), is a bug on any input.  A library
+call likewise returns or raises an ``HRFrontierError`` other than
+``InternalInvariantError``.
 """
 
 from __future__ import annotations
@@ -15,9 +18,23 @@ import math
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hrfrontier import (
+    DatedFlows,
+    HRFrontierError,
+    InternalInvariantError,
+    ScenarioPayoff,
+    SequenceSpaceSpec,
+    check_kernel,
+    gram_from_scenarios,
+    gram_from_sequence_space,
+    kernel_frontier,
+    monotone_hj_bound,
+    tree_oracle,
+)
 from hrfrontier.cli import main
 
 FUZZ = settings(
@@ -232,3 +249,86 @@ def test_every_scenario_csv_ends_cleanly(text, argv):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         _assert_clean_ending(*_run(["mhr", "--input", path, *argv]))
+
+
+# Values on a grid of quarters, so that outcomes tie across states and payoffs.
+QUARTER = st.integers(-8, 8).map(lambda k: k / 4)
+# A nonnegative kernel value, zero in some states.
+KERNEL_VALUE = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+
+@st.composite
+def states(draw, n_states: int, n: int):
+    """Probabilities and one row of quarter-grid values per state; maybe one
+    state split into two equally likely duplicates."""
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=n_states, max_size=n_states))
+    total = math.fsum(weights)
+    q = [w / total for w in weights]
+    rows = draw(st.lists(st.lists(QUARTER, min_size=n, max_size=n), min_size=n_states, max_size=n_states))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n_states - 1))
+        q[i] /= 2
+        q.append(q[i])
+        rows.append(rows[i])
+    return q, rows
+
+
+def _clean(call):
+    """The call's result, or None when it rejects its input as it should."""
+    try:
+        return call()
+    except InternalInvariantError:
+        raise
+    except HRFrontierError:
+        return None
+
+
+@st.composite
+def priced_scenario_market(draw):
+    """A market and the nonnegative kernel ``k`` that sets its prices,
+    ``prices = (q k) @ V``: explicit scenario payoffs, or a sequence market
+    priced on its (date, state) atoms."""
+    if draw(st.booleans()):
+        n_states = draw(st.integers(1, 64))
+        q, rows = draw(states(n_states, draw(st.integers(1, min(n_states, 5)))))
+        q, values = np.array(q), np.array(rows)
+
+        def build(prices):
+            basis = [ScenarioPayoff.from_arrays(q, column) for column in values.T]
+            return gram_from_scenarios(basis, prices)
+    else:
+        n_states = draw(st.integers(1, 8))
+        n = draw(st.integers(1, min(n_states, 3)))
+        horizon = draw(st.integers(1, 6))
+        flows = []
+        for date in draw(st.lists(st.integers(1, horizon), min_size=1, max_size=3, unique=True)):
+            q, rows = draw(states(n_states, n))
+            flows.append(DatedFlows(date=date, probabilities=q, values=np.array(rows).T))
+        spec = SequenceSpaceSpec(beta=draw(st.floats(0.05, 0.95)), horizon=horizon, flows=tuple(flows))
+
+        def build(prices):
+            return gram_from_sequence_space(spec, prices)
+
+        # The atoms do not depend on the prices; any market on them shows them.
+        market = _clean(lambda: build(np.ones(n)))
+        if market is None:
+            return None
+        q, values = market.state_probabilities, market.scenario_values
+    kernel = np.array(draw(st.lists(KERNEL_VALUE, min_size=len(q), max_size=len(q))))
+    return build, q, values, kernel
+
+
+@FUZZ
+@given(case=priced_scenario_market())
+def test_statewise_entry_points_end_cleanly(case):
+    if case is None:
+        return
+    build, q, values, kernel = case
+    market = _clean(lambda: build((q * kernel) @ values))
+    if market is None:
+        return
+    family = _clean(lambda: kernel_frontier(market))
+    if family is not None:
+        _clean(lambda: check_kernel(family.kernel(family.eta_star or 0.0), market))
+    _clean(lambda: monotone_hj_bound(market, ScenarioPayoff(q, kernel)))
+    _clean(lambda: tree_oracle(market, 2))

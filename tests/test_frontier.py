@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hrfrontier import (
     DegenerateFrontierError,
     GramMarket,
     InvalidInputError,
+    Parabola,
     ScenarioPayoff,
     check_hansen_bound,
     check_kernel,
@@ -25,7 +27,7 @@ from hrfrontier import (
     stats,
     tree_oracle,
 )
-from conftest import random_market, random_scenario_market
+from conftest import random_market, random_scenario_market, random_sequence_market
 
 # Exact-rational reference statistics of the benchmark market (all digits
 # significant).
@@ -190,27 +192,40 @@ def test_feasibility_check_agrees_with_the_variance_clamp():
     assert outcomes == {"rejected", "solved"}
 
 
+def _cholesky_calls(monkeypatch) -> list:
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return calls
+
+
+def _statewise_pipeline(market) -> None:
+    special_portfolios(market)
+    hj_bounds(market)
+    family = kernel_frontier(market)
+    check_kernel(family.kernel(0.5), market)
+    tree_oracle(market, 2)
+
+
 class TestSingleSolve:
     def test_scenario_pipeline_factorizes_the_gram_once(self, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
-
-        def counting_cholesky(a):
-            calls.append(a.shape)
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        calls = _cholesky_calls(monkeypatch)
         rng = np.random.default_rng(51)
         probs = np.full(4, 0.25)
         values = rng.uniform(-0.5, 2.0, (4, 3))
         basis = [ScenarioPayoff.from_arrays(probs, values[:, i]) for i in range(3)]
-        market = gram_from_scenarios(basis, (probs * [0.6, 1.2, 0.9, 1.1]) @ values)
-        special_portfolios(market)
-        hj_bounds(market)
-        family = kernel_frontier(market)
-        check_kernel(family.kernel(0.5), market)
-        tree_oracle(market, 2)
+        _statewise_pipeline(gram_from_scenarios(basis, (probs * [0.6, 1.2, 0.9, 1.1]) @ values))
         assert calls == [(3, 3)]
+
+    def test_sequence_pipeline_factorizes_the_gram_once(self, monkeypatch):
+        calls = _cholesky_calls(monkeypatch)
+        _statewise_pipeline(random_sequence_market(np.random.default_rng(52), 2))
+        assert calls == [(2, 2)]
 
     def test_memoized_weights_are_read_only(self, benchmark_market):
         sp = special_portfolios(benchmark_market)
@@ -369,6 +384,14 @@ class TestFrontierCurves:
         assert coeffs.mu_sigma.curvature == pytest.approx(
             1.0 / sp.hr_sq_x - 1.0, rel=1e-15
         )
+
+    def test_parabola_squares_correctly_rounded_alone_and_on_a_grid(self):
+        # A C pow square of this mean is one ulp off the exact square.
+        x = -458.7228991098864
+        parabola = Parabola(0.0, 1.0, 0.0)
+        exact = float(Fraction(x) ** 2)
+        assert parabola(x) == exact
+        assert parabola(np.array([0.0, x, 1.0]))[1] == exact
 
     def test_points_at_the_vertices(self, benchmark_market):
         sp = special_portfolios(benchmark_market)

@@ -22,15 +22,17 @@ from hrfrontier import (
     gram_from_sequence_space,
     gram_from_universe,
     market_from_json,
-    validate_market,
 )
 from conftest import (
     BENCHMARK_MU,
     BENCHMARK_SIGMA,
     random_probs,
+    random_scenario_market,
+    random_sequence_market,
     random_universe,
     scenario_universe,
 )
+from hrfrontier.moments import moment_sums
 
 
 class TestUniverse:
@@ -129,19 +131,24 @@ class TestScenarioGram:
         with pytest.raises(ArbitrageError):
             gram_from_scenarios([free, other], [0.0, 1.0])
 
-    def test_validate_market_checks_scenario_consistency(self):
-        a = ScenarioPayoff.from_arrays([0.5, 0.5], [1.0, 2.0])
-        b = ScenarioPayoff.from_arrays([0.5, 0.5], [1.0, -1.0])
-        good = gram_from_scenarios([a, b], [1.0, 0.1])
-        tampered = GramMarket(
-            gram=np.array(good.gram) + np.array([[0.001, 0.0], [0.0, 0.0]]),
-            means=good.means,
-            prices=good.prices,
-            state_probabilities=good.state_probabilities,
-            scenario_values=good.scenario_values,
+    def test_states_are_not_constructor_arguments(self):
+        # Only the scenario builders attach states, so a market's moments
+        # and its states cannot disagree.
+        good = gram_from_scenarios(
+            [
+                ScenarioPayoff.from_arrays([0.5, 0.5], [1.0, 2.0]),
+                ScenarioPayoff.from_arrays([0.5, 0.5], [1.0, -1.0]),
+            ],
+            [1.0, 0.1],
         )
-        with pytest.raises(InvalidInputError):
-            validate_market(tampered)
+        with pytest.raises(TypeError):
+            GramMarket(
+                gram=good.gram,
+                means=good.means,
+                prices=good.prices,
+                state_probabilities=good.state_probabilities,
+                scenario_values=good.scenario_values,
+            )
 
 
 class TestScenarioUniverse:
@@ -320,6 +327,31 @@ class TestSequenceAtoms:
         # atoms of date 1 and the zero atom remain.
         assert len(market.state_probabilities) == 3
         assert np.count_nonzero(market.scenario_values) == 2
+
+
+def builder_markets():
+    """Markets from both scenario builders: statewise-style ones priced by a
+    positive kernel, random sequence markets and the sequence markets above."""
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        n_states = int(rng.integers(1, 40))
+        yield random_scenario_market(rng, n_states, int(rng.integers(1, min(n_states, 5) + 1)))
+    for n in (1, 2, 3):
+        yield random_sequence_market(rng, n)
+    for dates, horizon in [((1, 2, 3), 3), ((1, 3), 5), ((2,), 2)]:
+        spec = SequenceSpaceSpec(beta=0.75, horizon=horizon, flows=rational_flows(dates))
+        yield gram_from_sequence_space(spec, [1.0, 0.5])
+
+
+def test_builder_moments_are_the_moment_sums_of_the_market_states():
+    # Bit for bit: a market's moments have no source but its states.
+    for market in builder_markets():
+        q, values = market.state_probabilities, market.scenario_values
+        means, gram = moment_sums(q, values)
+        assert np.array_equal(market.gram, gram) and np.array_equal(market.means, means)
+        for states in (q, values):
+            with pytest.raises(ValueError):
+                states[0] = 0.0
 
 
 class TestMarketJson:

@@ -15,7 +15,6 @@ import pytest
 
 from hrfrontier import (
     GramMarket,
-    InvalidInputError,
     ScenarioPayoff,
     gram_from_scenarios,
     monotone_hj_bound,
@@ -122,18 +121,3 @@ def test_a_catastrophically_cancelling_cross_moment_is_exact():
     assert market.gram.tolist() == exact and exact[0][1] == 0.5
     assert market.means.tolist() == [float(sum(map(Fraction, probs * v))) for v in values.T]
 
-
-@pytest.mark.parametrize(
-    "probs", [[-0.5, 1.5], [0.5, 0.6]], ids=["negative", "sum-above-one"]
-)
-def test_a_hand_rolled_market_needs_a_probability_vector(probs):
-    values = np.array([[1.0, 0.5], [2.0, -1.0]])
-    with pytest.raises(InvalidInputError) as raised:
-        GramMarket(
-            gram=np.eye(2),
-            means=np.ones(2),
-            prices=np.ones(2),
-            state_probabilities=probs,
-            scenario_values=values,
-        )
-    assert raised.value.code == "invalid_input"
