@@ -13,9 +13,9 @@ from typing import Any
 
 import numpy as np
 
-from .frontier import special_portfolios
+from .frontier import frontier_coefficients, special_portfolios
 from .market import AssetUniverse, gram_from_universe
-from .multiperiod import multiperiod_frontier, propagate
+from .multiperiod import propagate
 
 MEAN_RETURNS = (1.162, 1.246, 1.228)
 
@@ -76,7 +76,7 @@ def verification_report(rel_tol: float = DEFAULT_REL_TOL) -> dict[str, Any]:
         "hr_sq_x_plus_hr_sq_y": sp.hr_sq_x + sp.hr_sq_y,
     }
     stats_n = propagate(sp, HORIZON)
-    coeffs = multiperiod_frontier(stats_n)
+    coeffs = frontier_coefficients(stats_n)
     assert coeffs.mu_omega is not None and coeffs.mu_sigma is not None
     mu_z_n = coeffs.mu_sigma.center
     multi = {

@@ -35,7 +35,7 @@ from .kernel import hj_bounds
 from .market import market_from_json
 from .moments import ScenarioPayoff
 from .monotone import monotone_hansen_ratio
-from .multiperiod import multiperiod_frontier, propagate
+from .multiperiod import propagate
 
 
 class _UsageError(Exception):
@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mhr.add_argument(
         "--prob-tol",
         type=float,
-        default=1e-12,
-        help="acceptance window for the probability sum (default 1e-12)",
+        help="acceptance window for the probability sum under --renormalize (default 1e-12)",
     )
 
     p_hj = sub.add_parser("hj", help="pricing-kernel bounds of a market")
@@ -136,9 +135,11 @@ def _grid_points(text: str | None) -> list[float] | None:
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse the command line, with the grid turned into its mean points."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "prob_tol", None) is not None and not args.renormalize:
+        raise _UsageError("--prob-tol applies only with --renormalize")
     for name in ("prob_tol", "rel_tol"):
-        tol = getattr(args, name, 1.0)
-        if not (math.isfinite(tol) and tol > 0):
+        tol = getattr(args, name, None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise InvalidInputError("tolerances must be positive and finite", option=name)
     if "grid" in args:
         args.grid = _grid_points(args.grid)
@@ -190,7 +191,7 @@ def _cmd_multiperiod(args: argparse.Namespace) -> int:
     market = market_from_json(args.input)
     sp = special_portfolios(market)
     stats_n = propagate(sp, args.periods)
-    coeffs = multiperiod_frontier(stats_n)
+    coeffs = frontier_coefficients(stats_n)
     report = {
         "portfolios": sp.to_dict(),
         "multiperiod": stats_n.to_dict(),
@@ -205,7 +206,7 @@ def _cmd_mhr(args: argparse.Namespace) -> int:
     payoff = ScenarioPayoff.from_csv(
         args.input,
         renormalize=args.renormalize,
-        sum_tol=args.prob_tol if args.renormalize else 1e-12,
+        sum_tol=1e-12 if args.prob_tol is None else args.prob_tol,
     )
     result = monotone_hansen_ratio(payoff, allow_no_downside=args.allow_no_downside)
     _emit(result.to_dict(), args.output)

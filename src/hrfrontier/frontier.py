@@ -33,6 +33,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .market import GramMarket
+    from .multiperiod import MultiperiodStats
 
 #: Solving is refused when the best zero-cost squared ratio reaches 1 - this.
 ARBITRAGE_TOL = 1e-10
@@ -195,7 +196,7 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         raise InvalidInputError("the market's solve leaves the floating-point range")
     if hr_sq_x < 0.0:
         # With hr_sq_y alone above one the feasibility test below rejects it.
-        feasible = omega_sq_y * (1.0 - hr_sq_y) >= -VARIANCE_CLAMP_TOL
+        feasible = 1.0 - hr_sq_y >= -VARIANCE_CLAMP_TOL
         if hr_sq_x < -VARIANCE_CLAMP_TOL and feasible:
             raise InternalInvariantError(
                 "squared ratio of the zero-cost optimum came out negative",
@@ -209,15 +210,17 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
         )
     # The projection of the unit payoff onto the market has squared norm
     # hr_sq_x + hr_sq_y, at most one; a hand-written Gram matrix can break
-    # that.  Beyond this test the excess is rounding, and the slack is
-    # clamped at zero.
-    if omega_sq_y * (1.0 - hr_sq_y / (1.0 - hr_sq_x)) < -VARIANCE_CLAMP_TOL:
+    # that.  The test is on the ratios themselves, so it does not depend on
+    # the scale of the payoffs; within it the excess is rounding, and the
+    # slack is clamped at zero.
+    slack = 1.0 - hr_sq_x - hr_sq_y
+    if slack < -VARIANCE_CLAMP_TOL:
         raise InvalidInputError(
             "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
             hr_sq_x=hr_sq_x,
             hr_sq_y=hr_sq_y,
         )
-    slack = max(0.0, 1.0 - hr_sq_x - hr_sq_y)
+    slack = max(0.0, slack)
     mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x, slack)
     w_z = w_y + mu_z * w_x
     for weights in (w_y, w_x, w_z):
@@ -241,20 +244,16 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     return memo
 
 
-def _parabolas(
-    mu_y: float,
-    omega_sq_y: float,
-    hr_sq_y: float,
-    hr_sq_x: float,
-    mu_z: float,
-    sigma_sq_z: float,
-) -> FrontierCoefficients:
+def frontier_coefficients(stats: SpecialPortfolios | MultiperiodStats) -> FrontierCoefficients:
+    """Both frontier parabolas, from the ratios of a market's one period
+    (:class:`SpecialPortfolios`) or of its n periods (``MultiperiodStats``);
+    degenerate, with no parabolas, when x is the null portfolio."""
+    hr_sq_x = stats.hr_sq_x
     if hr_sq_x <= DEGENERATE_X_TOL:
         return FrontierCoefficients(mu_omega=None, mu_sigma=None, degenerate=True)
-    mu_omega = Parabola(level=omega_sq_y, curvature=1.0 / hr_sq_x, center=mu_y)
-    mu_sigma = Parabola(
-        level=sigma_sq_z, curvature=1.0 / hr_sq_x - 1.0, center=mu_z
-    )
+    mu_z, sigma_sq_z = _z_stats(stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, hr_sq_x, stats.slack)
+    mu_omega = Parabola(level=stats.omega_sq_y, curvature=1.0 / hr_sq_x, center=stats.mu_y)
+    mu_sigma = Parabola(level=sigma_sq_z, curvature=1.0 / hr_sq_x - 1.0, center=mu_z)
     if mu_omega.level < 0.0 or mu_sigma.level < 0.0 or mu_sigma.curvature <= 0.0:
         raise InternalInvariantError(
             "frontier parabola coefficients out of range",
@@ -263,13 +262,6 @@ def _parabolas(
             sigma_curvature=mu_sigma.curvature,
         )
     return FrontierCoefficients(mu_omega=mu_omega, mu_sigma=mu_sigma)
-
-
-def frontier_coefficients(sp: SpecialPortfolios) -> FrontierCoefficients:
-    """Both frontier parabolas; degenerate flag when x is the null portfolio."""
-    return _parabolas(
-        sp.mu_y, sp.omega_sq_y, sp.hr_sq_y, sp.hr_sq_x, sp.mu_z, sp.sigma_sq_z
-    )
 
 
 def frontier_points(

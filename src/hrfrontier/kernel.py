@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    HRFrontierError,
     InternalInvariantError,
     NotAKernelError,
     NotScenarioBackedError,
@@ -119,9 +118,11 @@ def _require_scenarios(market: GramMarket, what: str) -> None:
 def kernel_frontier(market: GramMarket) -> KernelFrontier:
     """Construct the kernel family statewise and verify its identities.
 
-    The direction is ``1 - x - (mu_y / omega_sq_y) * y`` computed per state;
-    its squared ratio must equal ``1 - hr_sq_x - hr_sq_y`` and it must be
-    orthogonal to every spanning payoff.
+    The base is ``y / omega_sq_y`` and the direction the residual
+    ``v = 1 - x - (mu_y / omega_sq_y) * y``, both computed per state; the
+    residual's squared ratio must equal the frontier slack and it must be
+    orthogonal to every spanning payoff.  ``eta_star = 1 / mu_y`` comes from
+    the market's solve, not from the states.
     """
     _require_scenarios(market, "kernel construction")
     sp = special_portfolios(market)
@@ -159,39 +160,35 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
             max_inner_product=float(np.abs(orth).max()),
         )
 
-    base_vals = y_vals / sp.omega_sq_y
-    base = ScenarioPayoff.from_arrays(q, base_vals)
-    direction = ScenarioPayoff.from_arrays(q, v_vals)
-
     if hr_sq_v == 0.0:
         eta_star: float | None = 0.0
     elif abs(sp.mu_y) <= 1e-12 * max(1.0, math.sqrt(sp.omega_sq_y)):
         eta_star = None
     else:
-        # Projection coefficient for the best mix of base and direction.
-        base_mean = float(q @ base_vals)
-        base_second = float(q @ (base_vals * base_vals))
-        eta_star = (v_mean / v_second) * (base_second / base_mean)
-        # With E[base v] = 0, HR^2(base + eta v) = (a + eta b)^2 / (c + eta^2 f)
-        # (means a, b; second moments c, f) peaks exactly at eta = bc/(af).
-        cross = float(q @ (base_vals * v_vals))
-        if abs(cross) > 1e-10 * max(1.0, math.sqrt(base_second * v_second)):
-            raise InternalInvariantError(
-                "kernel base is not orthogonal to the direction", inner_product=cross
-            )
+        # HR^2(base + eta v) = (a + eta b)^2 / (c + eta^2 f), a = mu_y/omega_sq_y,
+        # c = 1/omega_sq_y and b = f = slack, peaks at eta = bc/(af) = 1/mu_y.
+        eta_star = 1.0 / sp.mu_y
     return KernelFrontier(
-        base=base, direction=direction, hr_sq_direction=hr_sq_v, eta_star=eta_star
+        base=ScenarioPayoff.from_arrays(q, y_vals / sp.omega_sq_y),
+        direction=ScenarioPayoff.from_arrays(q, v_vals),
+        hr_sq_direction=hr_sq_v,
+        eta_star=eta_star,
     )
 
 
-def pricing_error_of(
-    kernel: ScenarioPayoff, market: GramMarket, mismatch: type[HRFrontierError]
-) -> float:
-    """Pricing error of a kernel: ``mismatch`` if it lives on other states,
-    NotAKernelError beyond ``PRICING_TOL`` relative to the price norm."""
+def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
+    """Validate a candidate kernel and test it against both bounds of
+    :func:`hj_bounds`.
+
+    The kernel must live on the market's states (``StateSpaceMismatchError``)
+    and price every spanning payoff to ``PRICING_TOL`` relative to the price
+    norm; beyond that it is rejected outright (``NotAKernelError``) because
+    the bound derivations presume exact pricing.
+    """
+    _require_scenarios(market, "kernel diagnostics")
     q = market.state_probabilities
     if not np.array_equal(kernel.probabilities, q):
-        raise mismatch("kernel is not defined on the market's state space")
+        raise StateSpaceMismatchError("kernel is not defined on the market's state space")
     implied = (q * kernel.values) @ market.scenario_values
     pricing_error = float(np.linalg.norm(implied - market.prices))
     tolerance = PRICING_TOL * float(np.linalg.norm(market.prices))
@@ -201,21 +198,8 @@ def pricing_error_of(
             pricing_error=pricing_error,
             tolerance=tolerance,
         )
-    return pricing_error
-
-
-def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
-    """Validate a candidate kernel and test it against both bounds.
-
-    The kernel must price every spanning payoff to ``PRICING_TOL`` relative
-    to the price norm; beyond that it is rejected outright because the bound
-    derivations presume exact pricing.
-    """
-    _require_scenarios(market, "kernel diagnostics")
-    pricing_error = pricing_error_of(kernel, market, StateSpaceMismatchError)
-    sp = special_portfolios(market)
-    hr_bound = 1.0 - sp.hr_sq_x
-    variance_bound = sp.hr_sq_x / hr_bound
+    bounds = hj_bounds(market)
+    hr_bound, variance_bound = bounds.hr_bound, bounds.variance_bound
     ratios = stats(kernel)
     hr_sq_m = ratios.hansen * ratios.hansen
     if ratios.mean == 0.0:

@@ -30,9 +30,8 @@ from .errors import (
     NegativeKernelError,
     NoDownsideError,
     NonPositiveMeanError,
-    NotAKernelError,
 )
-from .kernel import _require_scenarios, pricing_error_of
+from .kernel import _require_scenarios, check_kernel
 from .market import GramMarket
 from .moments import ScenarioPayoff, fsum_rows, hr_to_sr, stats
 
@@ -306,21 +305,19 @@ def monotone_hj_bound(market: GramMarket, kernel: ScenarioPayoff) -> MonotoneBou
 
     Maximizes the monotone ratio over the zero-cost subspace exactly and
     verifies ``sup MHR^2 <= 1 - HR^2(kernel)`` and
-    ``var(kernel)/mean(kernel)^2 >= sup MSR^2``.
+    ``var(kernel)/mean(kernel)^2 >= sup MSR^2``.  The kernel must be
+    nonnegative and pass :func:`~hrfrontier.kernel.check_kernel`.
     """
     _require_scenarios(market, "monotone kernel bound")
     if kernel.values.min() < 0.0:
         raise NegativeKernelError(
             "kernel takes negative values", min_value=float(kernel.values.min())
         )
-    pricing_error_of(kernel, market, NotAKernelError)
+    # A nonnegative kernel other than zero has a positive mean, so both ratios exist.
+    check = check_kernel(kernel, market)
+    kernel_hr_sq, kernel_ratio = check.hr_sq_m, check.var_over_mean_sq
     q = market.state_probabilities
     values = market.scenario_values
-    kernel_stats = stats(kernel)
-    kernel_hr_sq = kernel_stats.hansen**2
-    if kernel_stats.mean == 0.0:
-        raise NotAKernelError("kernel has zero mean")
-    kernel_ratio = kernel_stats.variance / kernel_stats.mean**2
 
     # Orthonormal basis of the zero-cost subspace {w : p.w = 0}.
     null_basis = np.linalg.svd(market.prices[None, :])[2][1:].T

@@ -21,13 +21,7 @@ from .errors import (
     InvalidInputError,
     TreeTooLargeError,
 )
-from .frontier import (
-    FrontierCoefficients,
-    SpecialPortfolios,
-    _parabolas,
-    _z_stats,
-    special_portfolios,
-)
+from .frontier import SpecialPortfolios, frontier_coefficients, special_portfolios
 from .kernel import _require_scenarios
 from .market import GramMarket
 
@@ -97,15 +91,10 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
-    if one_period.hr_sq_x + one_period.hr_sq_y > 1.0 + 1e-10:
-        raise InvalidInputError(
-            "one-period statistics violate the ratio bound",
-            hr_sq_x=one_period.hr_sq_x,
-            hr_sq_y=one_period.hr_sq_y,
-        )
     gsum = _ratio_geometric_sum(one_period.hr_sq_y, horizon)
     try:
         mu_y, omega_sq_y = one_period.mu_y**horizon, one_period.omega_sq_y**horizon
+        hr_sq_y = one_period.hr_sq_y**horizon
     except OverflowError:
         raise InvalidInputError(
             "n-period moments overflow floating point at this horizon", horizon=horizon
@@ -114,12 +103,22 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
         raise InvalidInputError(
             "n-period moments underflow floating point at this horizon", horizon=horizon
         )
+    # A one-period excess over the bound, within rounding, compounds with the
+    # horizon; past the bound's own tolerance it is the input's.
+    hr_sq_x = gsum * one_period.hr_sq_x
+    if hr_sq_x + hr_sq_y > 1.0 + 1e-10:
+        raise InvalidInputError(
+            "n-period statistics violate the ratio bound",
+            horizon=horizon,
+            hr_sq_x=hr_sq_x,
+            hr_sq_y=hr_sq_y,
+        )
     return MultiperiodStats(
         horizon=horizon,
         mu_y=mu_y,
         omega_sq_y=omega_sq_y,
-        hr_sq_y=one_period.hr_sq_y**horizon,
-        hr_sq_x=gsum * one_period.hr_sq_x,
+        hr_sq_y=hr_sq_y,
+        hr_sq_x=hr_sq_x,
         slack=gsum * one_period.slack,
     )
 
@@ -208,16 +207,5 @@ def tree_oracle(market: GramMarket, horizon: int) -> MultiperiodStats:
     )
 
 
-def multiperiod_frontier(stats: MultiperiodStats) -> FrontierCoefficients:
-    """Frontier parabolas of the n-period market (same machinery as one period)."""
-    mu_z, sigma_sq_z = _z_stats(
-        stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, stats.hr_sq_x, stats.slack
-    )
-    return _parabolas(
-        stats.mu_y,
-        stats.omega_sq_y,
-        stats.hr_sq_y,
-        stats.hr_sq_x,
-        mu_z,
-        sigma_sq_z,
-    )
+#: The n-period frontier is the one-period parabola rule on the n-period ratios.
+multiperiod_frontier = frontier_coefficients

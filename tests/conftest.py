@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -142,3 +144,67 @@ def random_payoff(
             continue
         return ScenarioPayoff.from_arrays(probs, values)
     raise RuntimeError("failed to generate a payoff")
+
+
+def _exact_solve(gram: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan solve of a small nonsingular rational system."""
+    n = len(rhs)
+    aug = [list(row) + [b] for row, b in zip(gram, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for row in range(n):
+            if row != col and aug[row][col] != 0:
+                ratio = aug[row][col] / aug[col][col]
+                aug[row] = [a - ratio * b for a, b in zip(aug[row], aug[col])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def exact_one_period_oracle(gram, means, prices) -> dict[str, Fraction]:
+    """Exact one-period ratios of a market given by rational ``G``, ``m``, ``p``
+    (or anything ``Fraction`` takes exactly: ints, floats, decimal strings),
+    keyed by the one-period ``verify`` rows."""
+    gram = [[Fraction(g) for g in row] for row in gram]
+    means, prices = [Fraction(m) for m in means], [Fraction(p) for p in prices]
+    gi_p, gi_m = _exact_solve(gram, prices), _exact_solve(gram, means)
+    p_gi_p = sum(a * b for a, b in zip(prices, gi_p))
+    p_gi_m = sum(a * b for a, b in zip(prices, gi_m))
+    m_gi_m = sum(a * b for a, b in zip(means, gi_m))
+    omega_sq_y = 1 / p_gi_p
+    mu_y = p_gi_m / p_gi_p
+    return {
+        "omega_sq_y": omega_sq_y,
+        "mu_y": mu_y,
+        "mu_y_over_omega_sq_y": p_gi_m,
+        "hr_sq_y": mu_y * mu_y / omega_sq_y,
+        "hr_sq_x": m_gi_m - p_gi_m**2 / p_gi_p,
+        "hr_sq_x_plus_hr_sq_y": m_gi_m,
+    }
+
+
+def exact_verify_oracle(gram, means, prices, horizon: int) -> dict[str, Fraction]:
+    """Exact value of every ``verify`` row for any small rational market: the
+    one-period oracle propagated over ``horizon`` IID periods in closed form."""
+    one = exact_one_period_oracle(gram, means, prices)
+    mu_y = one["mu_y"] ** horizon
+    omega_sq_y = one["omega_sq_y"] ** horizon
+    hr_sq_y = one["hr_sq_y"] ** horizon
+    hr_sq_x = one["hr_sq_x"] * sum(one["hr_sq_y"] ** t for t in range(horizon))
+    mu_z = mu_y / (1 - hr_sq_x)
+    sigma_sq_z = omega_sq_y * (1 - hr_sq_y / (1 - hr_sq_x))
+    sigma_curvature = 1 / hr_sq_x - 1 if hr_sq_x else None
+    return {
+        **one,
+        "multiperiod_hr_sq_x": hr_sq_x,
+        "multiperiod_mu_y": mu_y,
+        "multiperiod_omega_sq_y": omega_sq_y,
+        "multiperiod_mu_z": mu_z,
+        "multiperiod_sigma_sq_z": sigma_sq_z,
+        "multiperiod_sr_inv_sq_x": sigma_curvature,
+        "frontier_omega_level": omega_sq_y,
+        "frontier_omega_curvature": 1 / hr_sq_x if hr_sq_x else None,
+        "frontier_omega_center": mu_y,
+        "frontier_sigma_level": sigma_sq_z,
+        "frontier_sigma_curvature": sigma_curvature,
+        "frontier_sigma_center": mu_z,
+    }

@@ -28,7 +28,13 @@ from hrfrontier import (
     tree_oracle,
 )
 from hrfrontier.benchmark import benchmark_market, verification_report
-from conftest import random_market, random_payoff, random_scenario_market
+from conftest import (
+    exact_one_period_oracle,
+    exact_verify_oracle,
+    random_market,
+    random_payoff,
+    random_scenario_market,
+)
 
 # ---------------------------------------------------------------------------
 # Frozen benchmark references: printed decimals and exact fractions.
@@ -68,72 +74,21 @@ FOUR_PERIOD_DECIMALS = {
 }
 
 
-def _exact_one_period_oracle() -> dict[str, Fraction]:
-    """Independent exact solve of the benchmark from its decimal inputs."""
-    mu = [Fraction("1.162"), Fraction("1.246"), Fraction("1.228")]
-    sigma = [
-        [Fraction("0.0146"), Fraction("0.0187"), Fraction("0.0145")],
-        [Fraction("0.0187"), Fraction("0.0854"), Fraction("0.0104")],
-        [Fraction("0.0145"), Fraction("0.0104"), Fraction("0.0289")],
-    ]
-    n = 3
-    omega = [[sigma[i][j] + mu[i] * mu[j] for j in range(n)] for i in range(n)]
-
-    def solve(rhs):
-        aug = [row[:] + [b] for row, b in zip(omega, rhs)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            for row in range(n):
-                if row != col and aug[row][col] != 0:
-                    ratio = aug[row][col] / aug[col][col]
-                    aug[row] = [a - ratio * b for a, b in zip(aug[row], aug[col])]
-        return [aug[r][n] / aug[r][r] for r in range(n)]
-
-    ones = [Fraction(1)] * n
-    inv_ones = solve(ones)
-    inv_mu = solve(mu)
-    one_omega_one = sum(a * b for a, b in zip(ones, inv_ones))
-    one_omega_mu = sum(a * b for a, b in zip(ones, inv_mu))
-    mu_omega_mu = sum(a * b for a, b in zip(mu, inv_mu))
-    omega_sq_y = 1 / one_omega_one
-    mu_y = one_omega_mu / one_omega_one
-    return {
-        "omega_sq_y": omega_sq_y,
-        "mu_y": mu_y,
-        "mu_y_over_omega_sq_y": one_omega_mu,
-        "hr_sq_y": mu_y * mu_y / omega_sq_y,
-        "hr_sq_x": mu_omega_mu - one_omega_mu**2 / one_omega_one,
-        "hr_sq_x_plus_hr_sq_y": mu_omega_mu,
-    }
-
-
-def _exact_verify_oracle() -> dict[str, Fraction]:
-    """Exact value of every ``verify`` row: the one-period oracle propagated
-    over the benchmark horizon in closed form."""
-    one = _exact_one_period_oracle()
-    n = 4
-    mu_y = one["mu_y"] ** n
-    omega_sq_y = one["omega_sq_y"] ** n
-    hr_sq_y = one["hr_sq_y"] ** n
-    hr_sq_x = one["hr_sq_x"] * sum(one["hr_sq_y"] ** t for t in range(n))
-    mu_z = mu_y / (1 - hr_sq_x)
-    sigma_sq_z = omega_sq_y * (1 - hr_sq_y / (1 - hr_sq_x))
-    return {
-        **one,
-        "multiperiod_hr_sq_x": hr_sq_x,
-        "multiperiod_mu_y": mu_y,
-        "multiperiod_omega_sq_y": omega_sq_y,
-        "multiperiod_mu_z": mu_z,
-        "multiperiod_sigma_sq_z": sigma_sq_z,
-        "multiperiod_sr_inv_sq_x": 1 / hr_sq_x - 1,
-        "frontier_omega_level": omega_sq_y,
-        "frontier_omega_curvature": 1 / hr_sq_x,
-        "frontier_omega_center": mu_y,
-        "frontier_sigma_level": sigma_sq_z,
-        "frontier_sigma_curvature": 1 / hr_sq_x - 1,
-        "frontier_sigma_center": mu_z,
-    }
+BENCHMARK_MU_EXACT = [Fraction("1.162"), Fraction("1.246"), Fraction("1.228")]
+BENCHMARK_SIGMA_EXACT = [
+    [Fraction("0.0146"), Fraction("0.0187"), Fraction("0.0145")],
+    [Fraction("0.0187"), Fraction("0.0854"), Fraction("0.0104")],
+    [Fraction("0.0145"), Fraction("0.0104"), Fraction("0.0289")],
+]
+#: The benchmark's Gram matrix, means and prices from its decimal inputs.
+BENCHMARK_EXACT = (
+    [
+        [s + a * b for s, b in zip(row, BENCHMARK_MU_EXACT)]
+        for row, a in zip(BENCHMARK_SIGMA_EXACT, BENCHMARK_MU_EXACT)
+    ],
+    BENCHMARK_MU_EXACT,
+    [1, 1, 1],
+)
 
 
 def _report(criterion: str, failures: list[str], detail: str = "") -> None:
@@ -158,7 +113,7 @@ def test_criterion_1_one_period_benchmark_regression():
     }
     elapsed = time.perf_counter() - start
 
-    oracle = _exact_one_period_oracle()
+    oracle = exact_one_period_oracle(*BENCHMARK_EXACT)
     failures = []
     worst = 0.0
     for name, value in computed.items():
@@ -218,7 +173,7 @@ def test_criterion_2_four_period_benchmark_regression():
 
 
 def test_every_verify_row_is_within_1e13_of_its_exact_value():
-    exact = _exact_verify_oracle()
+    exact = exact_verify_oracle(*BENCHMARK_EXACT, 4)
     report = verification_report()
     assert len(report["values"]) == len(exact) == 18
     distances = {

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -124,6 +125,23 @@ def test_infeasible_gram_market_is_invalid_input(capsys, tmp_path, argv):
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(INFEASIBLE_GRAM))
     code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "gram, mean, periods",
+    [(0.01, 0.1 * math.sqrt(1.0 + 5e-11), "3"), (1.0, math.sqrt(1.0 + 9e-13), "120")],
+    ids=["excess-5e-11", "excess-9e-13-compounded"],
+)
+def test_a_ratio_bound_excess_is_invalid_input_at_every_horizon(
+    capsys, tmp_path, gram, mean, periods
+):
+    # hr_sq_y = 1 + 5e-11 breaks the bound at one period whatever omega_sq_y is;
+    # 1 + 9e-13 is rounding at one period but compounds past 1 + 1e-10 by 120.
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"kind": "gram", "G": [[gram]], "m": [mean], "p": [1.0]}))
+    code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", periods)
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "invalid_input"
 
@@ -393,6 +411,15 @@ class TestMhrCommand:
         )
         assert code == 0
         assert json.loads(out)["mhr"] > 0.0
+
+    def test_probability_tolerance_needs_renormalize(self, capsys, tmp_path):
+        # Without --renormalize the sum must be one to 1e-12; a wider window
+        # that would be ignored is refused instead.
+        path = tmp_path / "off.csv"
+        path.write_text("0.25000001,-1.0\n0.75,2.0\n")
+        code, out, err = run_cli(capsys, "mhr", "--input", str(path), "--prob-tol", "1e-6")
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "usage"
 
 
 class TestHjCommand:

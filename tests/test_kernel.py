@@ -223,6 +223,14 @@ class TestRandomKernelSweep:
             hr_sq_x = special_portfolios(market).hr_sq_x
             assert diag.hr_sq_m == pytest.approx(1.0 - hr_sq_x, abs=1e-10)
 
+    def test_optimal_eta_is_the_reciprocal_mean_of_y(self):
+        rng = np.random.default_rng(56)
+        markets = [random_scenario_market(rng, int(rng.integers(4, 12)), 3) for _ in range(20)]
+        markets += [random_sequence_market(rng, n) for n in (1, 2, 3) * 5]
+        for market in markets:
+            frontier = kernel_frontier(market)
+            assert frontier.eta_star == 1.0 / special_portfolios(market).mu_y
+
     def test_frontier_family_ratio_subadditivity(self):
         rng = np.random.default_rng(53)
         for _ in range(10):

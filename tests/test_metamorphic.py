@@ -8,6 +8,7 @@ some of these invariances exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 
 from hrfrontier import (
     GramMarket,
+    InvalidInputError,
     ScenarioPayoff,
     gram_from_scenarios,
+    market_from_json,
     monotone_hj_bound,
     special_portfolios,
 )
@@ -106,6 +109,18 @@ def test_scaling_the_payoffs_and_the_prices_fixes_the_ratios(c, d):
         scaled = special_portfolios(market_of(probs, values * c, prices * d))
         for name in RATIOS:
             assert getattr(scaled, name) == pytest.approx(getattr(sp, name), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", range(-14, 15))
+def test_the_ratio_bound_does_not_depend_on_the_scale(k):
+    # One payoff of second moment c and mean sqrt(hr_sq_y * c) at price one:
+    # hr_sq_y = 1.44 breaks hr_sq_x + hr_sq_y <= 1 at every scale c, and
+    # hr_sq_y = 0.64 keeps it at every scale.
+    c = 10.0**k
+    with pytest.raises(InvalidInputError):
+        market_from_json({"kind": "gram", "G": [[c]], "m": [math.sqrt(1.44 * c)], "p": [1.0]})
+    market = market_from_json({"kind": "gram", "G": [[c]], "m": [math.sqrt(0.64 * c)], "p": [1.0]})
+    assert special_portfolios(market).hr_sq_y == pytest.approx(0.64, rel=1e-15)
 
 
 def test_a_catastrophically_cancelling_cross_moment_is_exact():

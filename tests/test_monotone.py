@@ -13,6 +13,8 @@ from hrfrontier import (
     NonPositiveMeanError,
     NotAKernelError,
     ScenarioPayoff,
+    StateSpaceMismatchError,
+    check_kernel,
     gram_from_scenarios,
     kernel_frontier,
     monotone_hansen_ratio,
@@ -20,6 +22,7 @@ from hrfrontier import (
     monotonized_utility,
     special_portfolios,
     stats,
+    tree_oracle,
 )
 from hrfrontier import monotone
 from conftest import (
@@ -382,6 +385,32 @@ class TestMonotoneKernelBound:
         bad = ScenarioPayoff.from_arrays(PROBS, (1.0, 1.0, 1.0))
         with pytest.raises(NotAKernelError):
             monotone_hj_bound(market, bad)
+
+    def test_kernel_on_other_states_is_a_state_space_mismatch(self):
+        # As in check_kernel, whose validation the bound reuses.
+        other = ScenarioPayoff.from_arrays((0.5, 0.5), (1.0, 1.0))
+        with pytest.raises(StateSpaceMismatchError):
+            monotone_hj_bound(example_market(), other)
+
+    def test_complete_market_on_the_ratio_bound_runs_end_to_end(self):
+        # Complete, priced by a kernel that is zero on two of three states:
+        # hr_sq_x + hr_sq_y = 1 + 1.8e-14 with omega_sq_y = 32, a rounding
+        # excess that a feasibility test scaled by omega_sq_y would reject.
+        probs = (0.25, 0.25, 0.5)
+        values = np.array([[0.75, -0.25, -0.25], [0.25, 0.25, -1.75], [1.75, -0.5, -1.5]])
+        kernel = np.array([0.0, 0.0, 0.25])
+        basis = [ScenarioPayoff.from_arrays(probs, column) for column in values.T]
+        market = gram_from_scenarios(basis, (np.array(probs) * kernel) @ values)
+        sp = special_portfolios(market)
+        assert sp.omega_sq_y == pytest.approx(32.0, rel=1e-12)
+        assert sp.slack == 0.0
+        family = kernel_frontier(market)
+        assert family.hr_sq_direction == 0.0
+        check = check_kernel(family.kernel(family.eta_star), market)
+        assert check.passed
+        report = monotone_hj_bound(market, ScenarioPayoff.from_arrays(probs, kernel))
+        assert report.mhr_ok and report.msr_ok
+        assert tree_oracle(market, 3).slack == 0.0
 
     def test_fenchel_bound(self):
         rng = np.random.default_rng(72)

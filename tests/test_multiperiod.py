@@ -3,20 +3,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hrfrontier
 from hrfrontier import (
+    DegeneratePricesError,
     InvalidHorizonError,
+    NotPositiveDefiniteError,
     NotScenarioBackedError,
     ScenarioPayoff,
     TreeTooLargeError,
     frontier_coefficients,
     gram_from_scenarios,
+    market_from_json,
     multiperiod_frontier,
     product_tree,
     propagate,
     special_portfolios,
     tree_oracle,
 )
-from conftest import lifted_benchmark, random_scenario_market, random_sequence_market
+from conftest import (
+    exact_verify_oracle,
+    lifted_benchmark,
+    random_scenario_market,
+    random_sequence_market,
+)
 
 # Exact-rational four-period statistics of the benchmark market.
 BENCH4_HR_SQ_X = 0.8154962271794837
@@ -205,3 +214,114 @@ class TestMultiperiodFrontier:
             mean = float(leaf_prob @ leaf_payoff)
             variance = float(leaf_prob @ (leaf_payoff - mean) ** 2)
             assert variance >= coeffs.mu_sigma(mean) - 1e-9
+
+    def test_one_rule_for_every_horizon(self):
+        assert hrfrontier.multiperiod_frontier is hrfrontier.frontier_coefficients
+
+
+def rational_gram_market(rng: np.random.Generator, n: int):
+    """A ``gram`` market from up to eight states with rational probabilities,
+    quarter-grid payoffs and a positive quarter-grid kernel; its float inputs
+    are what the exact oracle solves."""
+    n_states = int(rng.integers(n, 9))
+    weights = rng.integers(1, 5, n_states)
+    q = [Fraction(int(w), int(weights.sum())) for w in weights]
+    values = [[Fraction(int(v), 4) for v in row] for row in rng.integers(-4, 9, (n_states, n))]
+    kernel = [Fraction(int(k), 4) for k in rng.integers(1, 9, n_states)]
+    states = list(zip(q, values, kernel))
+    gram = [
+        [float(sum(qs * v[i] * v[j] for qs, v, _ in states)) for j in range(n)] for i in range(n)
+    ]
+    means = [float(sum(qs * v[i] for qs, v, _ in states)) for i in range(n)]
+    prices = [float(sum(qs * k * v[i] for qs, v, k in states)) for i in range(n)]
+    return {"kind": "gram", "G": gram, "m": means, "p": prices}, (gram, means, prices)
+
+
+def rational_universe(rng: np.random.Generator, n: int):
+    """A ``universe`` market with dyadic means and covariance."""
+    factor = rng.integers(-4, 5, (n, n + 1)) / 4
+    sigma = (factor @ factor.T + np.eye(n)) / 4
+    mu = 1.0 + rng.integers(-4, 9, n) / 8
+    exact_mu = [Fraction(m) for m in mu]
+    gram = [
+        [Fraction(s) + a * b for s, b in zip(row, exact_mu)] for row, a in zip(sigma, exact_mu)
+    ]
+    spec = {"kind": "universe", "mu": mu.tolist(), "sigma": sigma.tolist()}
+    return spec, (gram, exact_mu, [1] * n)
+
+
+#: Gates on the error of propagate and frontier_coefficients against exact
+#: rationals: twice the worst over seeds 0-19 and 85 of this sweep, rounded up
+#: to a 1-2-5 step.  Errors are relative, except that hr_sq_x and the slack
+#: are shares of the unit budget (they cancel down from it), the curvatures
+#: are scaled by 1/hr_sq_x**2, which turns their error back into one of
+#: hr_sq_x, and sigma_sq_z is scaled by omega_sq_y (it is zero for complete
+#: markets).
+EXACT_GATES = {
+    "mu_y": 1e-12,
+    "omega_sq_y": 1e-12,
+    "hr_sq_y": 2e-12,
+    "hr_sq_x": 1e-12,
+    "slack": 5e-13,
+    "omega_curvature": 1e-12,
+    "sigma_curvature": 1e-12,
+    "mu_z": 5e-12,
+    "sigma_sq_z": 5e-12,
+}
+
+
+def worst_exact_errors(seed: int, n_markets: int = 400) -> dict[str, float]:
+    """Worst scaled error of the n-period statistics and parabolas of random
+    rational markets (n <= 5, Gram condition <= 1e4) at horizons 1, 2, 3, 5
+    and 8."""
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(EXACT_GATES, 0.0)
+    markets = 0
+    while markets < n_markets:
+        n = int(rng.integers(1, 6))
+        build = rational_gram_market if rng.integers(2) else rational_universe
+        spec, exact_inputs = build(rng, n)
+        try:
+            market = market_from_json(spec)
+        except (DegeneratePricesError, NotPositiveDefiniteError):
+            continue  # no prices, or payoffs that are not independent
+        if np.linalg.cond(market.gram) > 1e4:
+            continue
+        markets += 1
+        sp = special_portfolios(market)
+        for horizon in (1, 2, 3, 5, 8):
+            exact = exact_verify_oracle(*exact_inputs, horizon)
+            stats_n = propagate(sp, horizon)
+            coeffs = frontier_coefficients(stats_n)
+            hr_sq_x = exact["multiperiod_hr_sq_x"]
+            hr_sq_y = exact["hr_sq_y"] ** horizon
+            omega_sq_y = exact["multiperiod_omega_sq_y"]
+            pairs = {
+                "mu_y": (stats_n.mu_y, exact["multiperiod_mu_y"], None),
+                "omega_sq_y": (stats_n.omega_sq_y, omega_sq_y, None),
+                "hr_sq_y": (stats_n.hr_sq_y, hr_sq_y, None),
+                "hr_sq_x": (stats_n.hr_sq_x, hr_sq_x, 1),
+                "slack": (stats_n.slack, 1 - hr_sq_x - hr_sq_y, 1),
+            }
+            if hr_sq_x < 1e-20:  # zero but for the rounding of the inputs
+                assert coeffs.degenerate
+            else:
+                omega, sigma, inv_sq = coeffs.mu_omega, coeffs.mu_sigma, 1 / hr_sq_x**2
+                pairs.update(
+                    omega_curvature=(omega.curvature, exact["frontier_omega_curvature"], inv_sq),
+                    sigma_curvature=(sigma.curvature, exact["frontier_sigma_curvature"], inv_sq),
+                    mu_z=(sigma.center, exact["multiperiod_mu_z"], None),
+                    sigma_sq_z=(sigma.level, exact["multiperiod_sigma_sq_z"], omega_sq_y),
+                )
+                assert omega.level == stats_n.omega_sq_y and omega.center == stats_n.mu_y
+            for name, (got, want, scale) in pairs.items():
+                scale = abs(want) if scale is None else scale
+                error = float(abs(Fraction(got) - want) / scale) if scale else abs(got)
+                worst[name] = max(worst[name], error)
+    return worst
+
+
+def test_frontier_at_every_horizon_matches_exact_rationals():
+    worst = worst_exact_errors(85)
+    print("\nworst error vs exact:", {name: f"{e:.1e}" for name, e in worst.items()})
+    assert all(worst[name] <= gate for name, gate in EXACT_GATES.items()), worst
