@@ -19,9 +19,6 @@ class HRFrontierError(Exception):
         self.message = message
         self.context = context
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"code": self.code, "message": self.message, "context": self.context}
-
 
 class InvalidInputError(HRFrontierError):
     """Malformed or inconsistent user input (bad probabilities, shapes, files)."""

@@ -10,7 +10,6 @@ restates the classical variance-over-mean-squared lower bound
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,9 @@ class KernelFrontier:
 
     ``kernel(eta) = base + eta * direction`` prices the market for every real
     ``eta``.  ``eta_star`` maximizes the squared mean/L2 ratio of the kernel;
-    it is ``None`` when that supremum is only approached as ``|eta|`` grows
-    (mean of the base portfolio is zero).
+    it is ``None`` when that supremum is only approached as ``|eta|`` grows,
+    that is when ``SpecialPortfolios.max_hr_attained`` is False (``mu_y`` is
+    zero up to the rounding of ``m . w_y``).
     """
 
     base: ScenarioPayoff
@@ -162,7 +162,7 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
 
     if hr_sq_v == 0.0:
         eta_star: float | None = 0.0
-    elif abs(sp.mu_y) <= 1e-12 * max(1.0, math.sqrt(sp.omega_sq_y)):
+    elif not sp.max_hr_attained:
         eta_star = None
     else:
         # HR^2(base + eta v) = (a + eta b)^2 / (c + eta^2 f), a = mu_y/omega_sq_y,

@@ -4,16 +4,18 @@ The plain mean/L2-norm ratio can fall when a payoff is improved statewise.
 Its monotone hull fixes this: discard surplus above a cap ``k`` and take the
 best cap.  With the monotonized utility ``u(x) = x - x^2/2`` capped at its
 bliss point ``u(1) = 1/2``, ``MHR^2(W) = 2 max_a E[u(aW)]`` and the best cap
-is ``1/a``.  That objective is concave and piecewise quadratic along the ray
-of scalings, so one exact line search finds the kept states ``{aW <= 1}``;
-the cap ``k = E[W^2; aW <= 1] / E[W; aW <= 1]`` and the ratio then come from
+is ``1/a``.  That objective is concave in ``a``: its slope at ``a = 1/k``
+has the sign of ``E[W(k - W); W <= k]``, which turns once as ``k`` rises
+through the sorted gains.  A bisection over the gains, one exact sign test
+per probe, finds the kept states ``{W <= k}`` in O(S log S); the cap
+``k = E[W^2; W <= k] / E[W; W <= k]`` and the ratio then come from
 compensated sums over them.  The cap satisfies the first-order condition
 ``E[W; aW <= 1] = a E[W^2; aW <= 1]`` at ``a = 1/k``, which doubles as a
 built-in verification.
 
 Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the same
 utility; ``monotone_hj_bound`` solves that concave program exactly with an
-active-set Newton method that uses the same line search.
+active-set Newton method and an exact line search along each step.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ FOC_TOL = 1e-10
 _NEWTON_STEPS = 50
 #: States this close above the bliss point still count as below it.
 _KINK_TOL = 1e-12
-#: Longest ray searched for the best scaling, so that ``E[(a U)^2]`` stays finite.
-_RAY_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -136,32 +136,27 @@ def monotone_hansen_ratio(
             "payoff has no downside: the supremum 1 is not attained"
         )
 
-    # Best scaling a of the ray a U, U = W/max(W): below 1/min{U > 0}, where
-    # every gain is capped, and below 1/sqrt(E[U^2; U < 0]) by the first-order
-    # condition a E[U^2; K] = E[U; K] <= 1/a on the kept states K.  A ray cut
-    # at _RAY_LIMIT that still rises at its end has every gain above
-    # 1/_RAY_LIMIT capped at the optimum: cap them there and search again.
-    u = w / w.max()
-    faint = bool(((u == 0.0) & (w != 0.0)).any())  # outcomes that underflow in U
-    while True:
-        loss = abs(u.min())  # 0.0, not -0.0, when the losses underflow
-        loss *= math.sqrt(q[u < 0.0] @ (u[u < 0.0] / loss) ** 2)
-        with np.errstate(over="ignore", divide="ignore"):  # losses too small to bound
-            top = min(1.0 / float(u[u > 0.0].min()), 1.0 / loss, _RAY_LIMIT)
-        dx = top * u
-        with np.errstate(over="ignore"):  # crossings far beyond the ray's end
-            t = _line_max(q, np.zeros_like(q), dx)
-        if t < 1.0 or top < _RAY_LIMIT:
-            break
-        u = np.minimum(dx, 1.0)
-    # The kept states {t dx <= 1} put the cap between two consecutive gains, up
-    # to rounding at the ends; the exact moments decide between that segment
-    # and its neighbours.  A cap on a gain is stationary in both segments that
-    # share it, and the larger ratio wins.  The search cannot see outcomes
-    # that underflow in U, so then every lower segment is a candidate too.
+    # The slope of E[u(aW)] at a = 1/c has the sign of E[W(c - W); W <= c],
+    # which turns nonnegative once as the cap c rises: bisect the gains for
+    # the first level where it has.  In units r = W/level, the kept gains add
+    # r(1 - r) >= 0 and the losses |r|(1 + |r|) >= 0, so the sign test
+    # subtracts nothing, and a loss that overflows still tips it the right way.
     levels = sorted(set(w[w > 0.0].tolist()))  # np.unique would import numpy.ma
-    j = bisect.bisect_right(levels, float(w[t * dx <= 1.0].max()))
-    ends = [0.0, *levels, math.inf][0 if faint else max(j - 1, 0) : j + 3]
+    gain_q, gain_w = q[w > 0.0], w[w > 0.0]
+    loss_q, loss_w = q[w < 0.0], w[w < 0.0]
+
+    def turned(level: float) -> bool:
+        with np.errstate(over="ignore"):
+            r, s = gain_w / level, loss_w / level
+            kept = r <= 1.0
+            return gain_q[kept] @ (r[kept] * (1.0 - r[kept])) >= loss_q @ (s * (s - 1.0))
+
+    j = bisect.bisect_left(levels, True, key=turned)
+    # The cap lies in (levels[j - 1], levels[j]], up to rounding in the sign
+    # test; the exact moments decide between that segment and its
+    # neighbours.  A cap on a gain is stationary in both segments that share
+    # it, and the larger ratio wins.
+    ends = [0.0, *levels, math.inf][max(j - 1, 0) : j + 3]
     terms = q * w
     terms = np.array((terms, terms * w))
     found = [c for lo, hi in zip(ends, ends[1:]) if (c := _stationary_cap(q, w, terms, lo, hi))]
@@ -209,17 +204,6 @@ class MonotoneBoundReport:
     mhr_bound: float
     mhr_ok: bool
     msr_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "sup_mhr_sq": self.sup_mhr_sq,
-            "sup_msr_sq": self.sup_msr_sq,
-            "kernel_hr_sq": self.kernel_hr_sq,
-            "kernel_var_over_mean_sq": self.kernel_var_over_mean_sq,
-            "mhr_bound": self.mhr_bound,
-            "mhr_ok": self.mhr_ok,
-            "msr_ok": self.msr_ok,
-        }
 
 
 def _line_max(q: np.ndarray, x: np.ndarray, dx: np.ndarray) -> float:

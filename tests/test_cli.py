@@ -590,3 +590,13 @@ def test_losses_that_vanish_beside_the_gains_still_get_a_cap(capsys, tmp_path):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["k_hat"] == 0.5 and report["mhr"] == pytest.approx(0.75**0.5, rel=1e-15)
+
+
+def test_a_loss_that_overflows_beside_the_gain_is_reported_without_warnings(capsys, tmp_path):
+    # -1e150 / 1e-165 overflows: the sign test sums that loss to inf.
+    path = tmp_path / "payoff.csv"
+    path.write_text("1e-320,-1e150\n1.0,1e-165\n")
+    code, out, err = run_cli(capsys, "mhr", "--input", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["mhr"] == 9.999955665108005e-156 and report["truncated"] is False

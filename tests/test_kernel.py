@@ -91,6 +91,15 @@ class TestKernelFrontier:
         frontier = kernel_frontier(market)
         assert frontier.eta_star is None
 
+    def test_eta_is_unattained_exactly_when_the_frontier_says_so(self):
+        # mu_y = 6.7e-10 lies below the rounding scale of m.w_y (7.4e-10).
+        probs = (0.25,) * 4
+        first = ScenarioPayoff.from_arrays(probs, (1.0, 2.0, -1.0, 0.5))
+        second = ScenarioPayoff.from_arrays(probs, (1.001, 2.0, -1.0, 0.503))
+        market = gram_from_scenarios([first, second], [0.7073896804443, 0.7068237687012])
+        assert not special_portfolios(market).max_hr_attained
+        assert kernel_frontier(market).eta_star is None
+
     def test_requires_scenarios(self, benchmark_market):
         with pytest.raises(NotScenarioBackedError):
             kernel_frontier(benchmark_market)

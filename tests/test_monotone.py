@@ -509,8 +509,8 @@ class TestTruncationEngine:
         assert worst <= 1e-14
 
     def test_matches_the_exact_oracle_across_300_decades(self):
-        # Caps up to 300 decades below the largest gain: the solver caps the
-        # gains above a ray's reach and searches again.
+        # Caps up to 300 decades below the largest gain: each probe of the
+        # bisection sums its sign test in units of the gain it probes.
         for pay in engine_payoffs(86, 300, decades=150.0):
             result = monotone_hansen_ratio(pay)
             assert result.mhr == pytest.approx(oracle_mhr(pay.probabilities, pay.values), abs=1e-14)
@@ -523,8 +523,7 @@ class TestTruncationEngine:
         assert (result.mhr, result.msr, result.k_hat, result.truncated) == expected
 
     def test_optimum_far_below_the_largest_gain(self):
-        # The cap sits 170 decades below the largest gain, past the longest
-        # ray one line search covers.
+        # The cap sits 170 decades below the largest gain.
         pay = ScenarioPayoff.from_arrays((0.3, 0.3, 0.2, 0.2), (-1e-60, 1e-50, 1e-45, 1e120))
         result = monotone_hansen_ratio(pay)
         assert result.k_hat == pytest.approx(1e-50, rel=1e-9) and result.truncated
@@ -560,9 +559,19 @@ class TestTruncationEngine:
     )
     def test_outcomes_beyond_the_range_of_one_scale(self, probs, values):
         # Divided by the largest gain, the loss and the smallest gains
-        # underflow to zero, so the line search alone cannot place the cap.
+        # underflow to zero, so the cap must be placed in units of a gain
+        # near it.
         result = monotone_hansen_ratio(ScenarioPayoff.from_arrays(probs, values))
         assert result.mhr == pytest.approx(exact_mhr(probs, values)[0], abs=1e-14)
+
+    def test_a_loss_that_overflows_in_units_of_the_gain(self):
+        # The loss is 315 decades beyond the only gain: the sign test sums it
+        # to inf, and nothing may warn.
+        pay = ScenarioPayoff.from_arrays((1e-320, 1.0), (-1e150, 1e-165))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = monotone_hansen_ratio(pay)
+        assert result.mhr == stats(pay).hansen and not result.truncated
 
     def test_matches_the_exact_oracle_across_600_decades(self):
         rng = np.random.default_rng(86)
@@ -580,18 +589,25 @@ class TestTruncationEngine:
             if result.attained:
                 assert result.mhr == pytest.approx(exact_mhr(probs, values)[0], abs=1e-14)
 
-    def test_one_line_search_per_payoff(self, monkeypatch):
+    def test_bisection_solves_a_few_segments_per_payoff(self, monkeypatch):
+        # The bisection places the cap in one segment between two gains; only
+        # that segment and its neighbours get their moments summed.
         calls = []
-        line_max = monotone._line_max
+        stationary_cap = monotone._stationary_cap
 
         def counted(*args):
             calls.append(1)
-            return line_max(*args)
+            return stationary_cap(*args)
 
-        monkeypatch.setattr(monotone, "_line_max", counted)
-        for count, pay in enumerate(engine_payoffs(82, 40), start=1):
+        def forbidden(*args):
+            raise AssertionError("the monotone ratio ran a line search")
+
+        monkeypatch.setattr(monotone, "_stationary_cap", counted)
+        monkeypatch.setattr(monotone, "_line_max", forbidden)
+        for pay in engine_payoffs(82, 40):
+            calls.clear()
             monotone_hansen_ratio(pay)
-            assert len(calls) == count
+            assert 1 <= len(calls) <= 3
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-3, 7.0, 1e9])
     def test_scaling_the_payoff_scales_the_cap(self, scale):
