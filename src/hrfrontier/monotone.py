@@ -141,9 +141,9 @@ def monotone_hansen_ratio(
     # the first level where it has.  In units r = W/level, the kept gains add
     # r(1 - r) >= 0 and the losses |r|(1 + |r|) >= 0, so the sign test
     # subtracts nothing, and a loss that overflows still tips it the right way.
-    levels = sorted(set(w[w > 0.0].tolist()))  # np.unique would import numpy.ma
     gain_q, gain_w = q[w > 0.0], w[w > 0.0]
     loss_q, loss_w = q[w < 0.0], w[w < 0.0]
+    levels = sorted(set(gain_w.tolist()))  # np.unique would import numpy.ma
 
     def turned(level: float) -> bool:
         with np.errstate(over="ignore"):
