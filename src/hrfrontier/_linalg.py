@@ -1,8 +1,8 @@
-"""Dense SPD linear algebra: one checked Cholesky factor and its solve.
+"""Dense SPD linear algebra: one checked Cholesky factor and its sweeps.
 
-``spd_factor`` factors a Gram or covariance matrix once; ``cholesky_solve``
-applies the inverse through that factor by triangular substitution, so no
-system is refactored.  Both need numpy only.
+``spd_factor`` factors a Gram or covariance matrix once; ``triangular_solve``
+sweeps a triangular factor forward (lower) or back (upper) by substitution,
+so no system is refactored.  Both need numpy only.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from .errors import NotPositiveDefiniteError
 
 # Pivot floor for the Cholesky positive-definiteness test, scaled by trace/n.
 SPD_PIVOT_FACTOR = 1e-10
-# Rows per block of the triangular substitution in ``cholesky_solve``.
+# Rows per block of the triangular substitution in ``triangular_solve``.
 SOLVE_BLOCK = 64
 
 
@@ -41,23 +41,21 @@ def spd_factor(matrix: np.ndarray, *, name: str = "gram matrix") -> np.ndarray:
     return lower
 
 
+def triangular_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.ndarray:
+    """``tri^-1 rhs`` for a lower (forward sweep) or upper (back sweep)
+    triangular ``tri``; ``rhs`` is a vector or a matrix of columns.
 
-def cholesky_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``G^-1 rhs`` for ``G = lower @ lower.T``: forward, then back substitution.
-
-    Both sweeps run in blocks of ``SOLVE_BLOCK`` rows.  Each block subtracts
+    The sweep runs in blocks of ``SOLVE_BLOCK`` rows.  Each block subtracts
     the part already solved with one matmul and then solves its triangular
     diagonal block with ``np.linalg.solve``, so the work is O(n^2) plus one
     small LU per block, where a solve on the whole factor is a full O(n^3)
     LU.  With at most ``SOLVE_BLOCK`` unknowns there is one block, and the
-    result is exactly ``solve(lower.T, solve(lower, rhs))``.
+    result is exactly ``np.linalg.solve(tri, rhs)``.
     """
-    n = lower.shape[0]
+    n = tri.shape[0]
     blocks = [slice(i, min(i + SOLVE_BLOCK, n)) for i in range(0, n, SOLVE_BLOCK)]
     x = np.array(rhs, dtype=float)
-    for b in blocks:
-        x[b] = np.linalg.solve(lower[b, b], x[b] - lower[b, : b.start] @ x[: b.start])
-    upper = lower.T
-    for b in reversed(blocks):
-        x[b] = np.linalg.solve(upper[b, b], x[b] - upper[b, b.stop :] @ x[b.stop :])
+    for b in blocks if lower else reversed(blocks):
+        done = slice(0, b.start) if lower else slice(b.stop, n)
+        x[b] = np.linalg.solve(tri[b, b], x[b] - tri[b, done] @ x[done])
     return x

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import cholesky_solve, spd_factor
+from ._linalg import spd_factor, triangular_solve
 from .errors import (
     ArbitrageError,
     DegenerateFrontierError,
@@ -40,7 +40,8 @@ ARBITRAGE_TOL = 1e-10
 #: Below this squared ratio the zero-cost side is treated as empty of
 #: opportunities and the frontier degenerates to a point per cost level.
 DEGENERATE_X_TOL = 1e-14
-#: Floating-point dust allowed when clamping the minimum variance to zero.
+#: Rounding allowed in the feasibility test: ``hr_sq_x + hr_sq_y`` may exceed
+#: one by this much, and the slack is then clamped to zero.
 VARIANCE_CLAMP_TOL = 1e-12
 #: The frontier ratio bound is attained only when the mean of y is nonzero.
 MEAN_Y_ZERO_TOL = 1e-12
@@ -155,54 +156,45 @@ def _z_stats(
         raise ArbitrageError(
             "zero-cost squared ratio too close to one", hr_sq_x=hr_sq_x
         )
-    mu_z = mu_y / (hr_sq_y + slack)
-    sigma_sq_z = omega_sq_y * slack / (hr_sq_y + slack)
-    if sigma_sq_z < 0.0:
-        if sigma_sq_z < -VARIANCE_CLAMP_TOL:
-            raise InternalInvariantError(
-                "minimum variance came out negative", sigma_sq_z=sigma_sq_z
-            )
-        sigma_sq_z = 0.0
-    return mu_z, sigma_sq_z
+    return mu_y / (hr_sq_y + slack), omega_sq_y * slack / (hr_sq_y + slack)
 
 
 def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     """Solve all three special portfolios off one factorization.
 
-    This is the market's only solve: one Cholesky factor of the Gram matrix,
-    then ``G^-1 p`` and ``G^-1 m`` by blocked triangular substitution
-    (``cholesky_solve``), one right-hand side at a time.  The result is
-    memoized on the market, which is frozen with read-only arrays, so the
-    memo cannot go stale; its weight arrays are read-only too.
+    This is the market's only solve, in the coordinates of the Cholesky
+    factor ``G = L L^T``.  One forward sweep of ``[p | m]`` gives
+    ``c = L^-1 p`` and ``b = L^-1 m``, and every ratio is a squared norm:
+    ``omega_sq_y = 1/|c|^2``, ``mu_y = (b.c) omega_sq_y`` and
+    ``hr_sq_x = |b_x|^2`` for the part ``b_x = b - mu_y c`` of ``b`` across
+    ``c``, so no ratio can come out negative.  One back sweep of
+    ``[omega_sq_y c | b_x]`` with ``L^T`` gives ``w_y`` and ``w_x``.  Both
+    sweeps are blocked triangular substitution (``triangular_solve``).  The
+    result is memoized on the market, which is frozen with read-only arrays,
+    so the memo cannot go stale; its weight arrays are read-only too.
     """
     memo = market.__dict__.get("_special_portfolios")
     if memo is not None:
         return memo
     lower = spd_factor(market.gram)
     with np.errstate(all="ignore"):  # a solve beyond the float range is rejected below
-        gi_p = cholesky_solve(lower, market.prices)
-        gi_m = cholesky_solve(lower, market.means)
-        p_gi_p = float(market.prices @ gi_p)
-        if 0.0 < p_gi_p < math.inf:
-            w_y = gi_p / p_gi_p
-            omega_sq_y = 1.0 / p_gi_p
-            mu_y = float(market.means @ w_y)
+        c, b = triangular_solve(
+            lower, np.column_stack((market.prices, market.means)), lower=True
+        ).T
+        c_sq = float(c @ c)
+        if 0.0 < c_sq < math.inf:
+            omega_sq_y = 1.0 / c_sq
+            mu_y = float(b @ c) * omega_sq_y
             hr_sq_y = mu_y * mu_y / omega_sq_y
-            w_x = gi_m - (float(market.prices @ gi_m) / p_gi_p) * gi_p
-            hr_sq_x = float(market.means @ w_x)
+            b_x = b - mu_y * c
+            hr_sq_x = float(b_x @ b_x)
             # Finite ratios leave no inf or NaN in the weights they sum.
             solved = all(map(math.isfinite, (omega_sq_y, hr_sq_y, hr_sq_x)))
-    if not (0.0 < p_gi_p < math.inf and solved):
+            w_y, w_x = triangular_solve(
+                lower.T, np.column_stack((omega_sq_y * c, b_x)), lower=False
+            ).T
+    if not (0.0 < c_sq < math.inf and solved):
         raise InvalidInputError("the market's solve leaves the floating-point range")
-    if hr_sq_x < 0.0:
-        # With hr_sq_y alone above one the feasibility test below rejects it.
-        feasible = 1.0 - hr_sq_y >= -VARIANCE_CLAMP_TOL
-        if hr_sq_x < -VARIANCE_CLAMP_TOL and feasible:
-            raise InternalInvariantError(
-                "squared ratio of the zero-cost optimum came out negative",
-                hr_sq_x=hr_sq_x,
-            )
-        hr_sq_x = 0.0
     if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
         raise ArbitrageError(
             "market admits a (numerically) riskless zero-cost profit",
@@ -254,13 +246,6 @@ def frontier_coefficients(stats: SpecialPortfolios | MultiperiodStats) -> Fronti
     mu_z, sigma_sq_z = _z_stats(stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, hr_sq_x, stats.slack)
     mu_omega = Parabola(level=stats.omega_sq_y, curvature=1.0 / hr_sq_x, center=stats.mu_y)
     mu_sigma = Parabola(level=sigma_sq_z, curvature=1.0 / hr_sq_x - 1.0, center=mu_z)
-    if mu_omega.level < 0.0 or mu_sigma.level < 0.0 or mu_sigma.curvature <= 0.0:
-        raise InternalInvariantError(
-            "frontier parabola coefficients out of range",
-            omega_level=mu_omega.level,
-            sigma_level=mu_sigma.level,
-            sigma_curvature=mu_sigma.curvature,
-        )
     return FrontierCoefficients(mu_omega=mu_omega, mu_sigma=mu_sigma)
 
 

@@ -37,8 +37,8 @@ class KernelFrontier:
     ``kernel(eta) = base + eta * direction`` prices the market for every real
     ``eta``.  ``eta_star`` maximizes the squared mean/L2 ratio of the kernel;
     it is ``None`` when that supremum is only approached as ``|eta|`` grows,
-    that is when ``SpecialPortfolios.max_hr_attained`` is False (``mu_y`` is
-    zero up to the rounding of ``m . w_y``).
+    that is when ``SpecialPortfolios.max_hr_attained`` is False
+    (``|mu_y| <= 1e-12 * max(1, |m| |w_y|)``).
     """
 
     base: ScenarioPayoff

@@ -51,11 +51,27 @@ class MultiperiodStats:
             raise InvalidHorizonError(
                 "horizon must be an integer >= 1", horizon=self.horizon
             )
+        if not (self.omega_sq_y > 0.0 and self.slack >= 0.0):
+            raise InvalidInputError(
+                "n-period statistics need omega_sq_y > 0 and slack >= 0",
+                omega_sq_y=self.omega_sq_y,
+                slack=self.slack,
+            )
+        # A one-period excess over the bound, within rounding, compounds with
+        # the horizon; past the bound's own tolerance it is the input's.
         if self.hr_sq_x + self.hr_sq_y > 1.0 + 1e-10:
-            raise InternalInvariantError(
-                "ratio bound violated at this horizon",
+            raise InvalidInputError(
+                "n-period statistics violate the ratio bound",
+                horizon=self.horizon,
                 hr_sq_x=self.hr_sq_x,
                 hr_sq_y=self.hr_sq_y,
+            )
+        if abs(self.hr_sq_x + self.hr_sq_y + self.slack - 1.0) > 1e-10:
+            raise InvalidInputError(
+                "n-period ratios and slack do not sum to one",
+                hr_sq_x=self.hr_sq_x,
+                hr_sq_y=self.hr_sq_y,
+                slack=self.slack,
             )
         if abs(self.hr_sq_y * self.omega_sq_y - self.mu_y**2) > 1e-10 * max(
             1.0, self.omega_sq_y
@@ -103,22 +119,12 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
         raise InvalidInputError(
             "n-period moments underflow floating point at this horizon", horizon=horizon
         )
-    # A one-period excess over the bound, within rounding, compounds with the
-    # horizon; past the bound's own tolerance it is the input's.
-    hr_sq_x = gsum * one_period.hr_sq_x
-    if hr_sq_x + hr_sq_y > 1.0 + 1e-10:
-        raise InvalidInputError(
-            "n-period statistics violate the ratio bound",
-            horizon=horizon,
-            hr_sq_x=hr_sq_x,
-            hr_sq_y=hr_sq_y,
-        )
     return MultiperiodStats(
         horizon=horizon,
         mu_y=mu_y,
         omega_sq_y=omega_sq_y,
         hr_sq_y=hr_sq_y,
-        hr_sq_x=hr_sq_x,
+        hr_sq_x=gsum * one_period.hr_sq_x,
         slack=gsum * one_period.slack,
     )
 

@@ -27,7 +27,13 @@ from hrfrontier import (
     stats,
     tree_oracle,
 )
-from conftest import random_market, random_scenario_market, random_sequence_market
+from conftest import (
+    exact_one_period_oracle,
+    random_market,
+    random_probs,
+    random_scenario_market,
+    random_sequence_market,
+)
 
 # Exact-rational reference statistics of the benchmark market (all digits
 # significant).
@@ -156,6 +162,26 @@ class TestOracles:
         sp = special_portfolios(market)
         assert sp.hr_sq_x == 0.0
         assert np.abs(sp.w_x).max() < 1e-14
+
+
+def test_small_zero_cost_ratio_keeps_its_digits():
+    # Prices from a kernel within 1% of one leave hr_sq_x at 1e-10 to 1e-4,
+    # where m.G^-1m - (p.G^-1m)^2/p.G^-1p would cancel most of its digits.
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        n_states = n + int(rng.integers(2, 9))
+        probs = random_probs(rng, n_states)
+        values = 1.0 + 0.3 * rng.standard_normal((n_states, n))
+        kernel = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, n_states)
+        basis = [ScenarioPayoff.from_arrays(probs, values[:, i]) for i in range(n)]
+        market = gram_from_scenarios(basis, (probs * kernel) @ values)
+        exact = exact_one_period_oracle(market.gram, market.means, market.prices)["hr_sq_x"]
+        if exact >= 1e-10:
+            error = abs(Fraction(special_portfolios(market).hr_sq_x) - exact) / exact
+            worst = max(worst, float(error))
+    assert worst <= 1e-11
 
 
 def test_arbitrage_detected_in_hand_built_market():

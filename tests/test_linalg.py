@@ -1,8 +1,9 @@
-"""The blocked triangular solve behind ``special_portfolios``.
+"""The blocked triangular sweeps behind ``special_portfolios``.
 
-Up to one block of unknowns it is exactly the two full solves on the
-Cholesky factor; beyond that it must stay backward stable and agree with a
-direct solve of the Gram matrix.
+Up to one block of unknowns each sweep, forward on the Cholesky factor and
+back on its transpose, is exactly the full solve of that triangle; beyond
+that the two sweeps must stay backward stable and agree with a direct solve
+of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import pytest
 
 import hrfrontier.frontier
 from hrfrontier import GramMarket, NotPositiveDefiniteError, gram_from_universe, special_portfolios
-from hrfrontier._linalg import SOLVE_BLOCK, cholesky_solve, spd_factor
+from hrfrontier._linalg import SOLVE_BLOCK, spd_factor, triangular_solve
 from conftest import random_universe
 
 
-def two_full_solves(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+def full_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.ndarray:
+    return np.linalg.solve(tri, rhs)
 
 
 @pytest.mark.parametrize("n", [1, 3, 50, 64])
@@ -25,10 +26,13 @@ def test_one_block_is_the_two_full_solves_bit_for_bit(monkeypatch, n):
     universe = random_universe(np.random.default_rng(n), n)
     market = gram_from_universe(universe)
     lower = spd_factor(market.gram)
-    for rhs in (market.prices, market.means):
-        assert np.array_equal(cholesky_solve(lower, rhs), two_full_solves(lower, rhs))
+    both = np.column_stack((market.prices, market.means))
+    for rhs in (market.prices, market.means, both):
+        for tri, is_lower in ((lower, True), (lower.T, False)):
+            solved = triangular_solve(tri, rhs, lower=is_lower)
+            assert np.array_equal(solved, np.linalg.solve(tri, rhs))
     with monkeypatch.context() as patch:
-        patch.setattr(hrfrontier.frontier, "cholesky_solve", two_full_solves)
+        patch.setattr(hrfrontier.frontier, "triangular_solve", full_solve)
         reference = special_portfolios(gram_from_universe(universe))
     assert special_portfolios(market).to_dict() == reference.to_dict()
 
@@ -49,7 +53,7 @@ def test_many_blocks_stay_backward_stable_and_match_a_direct_solve(n):
     market = gram_from_universe(random_universe(np.random.default_rng(1000 + n), n))
     gram, lower = market.gram, spd_factor(market.gram)
     for rhs in (market.prices, market.means):
-        w = cholesky_solve(lower, rhs)
+        w = triangular_solve(lower.T, triangular_solve(lower, rhs, lower=True), lower=False)
         # Normwise backward error: the plain residual ||Gw - b|| / ||b|| of a
         # stable solve scales with the condition number (about 1e-14 at n = 300
         # here, for these blocks and for the two full solves alike).

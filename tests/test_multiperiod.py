@@ -7,6 +7,8 @@ import hrfrontier
 from hrfrontier import (
     DegeneratePricesError,
     InvalidHorizonError,
+    InvalidInputError,
+    MultiperiodStats,
     NotPositiveDefiniteError,
     NotScenarioBackedError,
     ScenarioPayoff,
@@ -217,6 +219,20 @@ class TestMultiperiodFrontier:
 
     def test_one_rule_for_every_horizon(self):
         assert hrfrontier.multiperiod_frontier is hrfrontier.frontier_coefficients
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"omega_sq_y": -1.0, "slack": 0.5},  # no second moment below zero
+            {"omega_sq_y": 1.0, "slack": -0.1},  # no slack below zero
+            {"omega_sq_y": 1.0, "slack": 0.0},  # ratios and slack sum to 0.5, not 1
+        ],
+    )
+    def test_hand_built_stats_outside_the_budget_are_invalid_input(self, fields):
+        with pytest.raises(InvalidInputError):
+            frontier_coefficients(
+                MultiperiodStats(horizon=1, mu_y=0.0, hr_sq_y=0.0, hr_sq_x=0.5, **fields)
+            )
 
 
 def rational_gram_market(rng: np.random.Generator, n: int):
