@@ -7,8 +7,8 @@ mean returns and a covariance matrix, an explicit list of scenario payoffs,
 and a discounted sequence space of dated cash flows.  A sequence market is a
 scenario market too: its states are (date, state) atoms, and one constructor
 builds both.  Only the two scenario builders attach states: read-only
-arrays, and every Gram entry and mean is one compensated sum over them, so a
-market's moments and its states cannot disagree.
+arrays, and every Gram entry and mean is one exactly rounded sum over them, so
+a market's moments and its states cannot disagree.
 """
 
 from __future__ import annotations

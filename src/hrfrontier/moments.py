@@ -4,10 +4,10 @@ A payoff is a finite probability distribution over real outcomes, held as two
 read-only float arrays: the state probabilities ``q`` and the values.  Its
 mean over L2-norm ("hansen" ratio here) is bounded by 1 in absolute value and
 hits 1 exactly only for risk-free payoffs; the usual Sharpe ratio is an
-algebraic transform of it.  Every moment is a compensated sum over the
-read-only arrays (``math.fsum``, exactly rounded), so the order of the states
-does not matter and exact-decimal inputs reproduce exact-fraction references
-to ~1e-15.
+algebraic transform of it.  Every moment is an exactly rounded sum over the
+read-only arrays (one ``math.fsum`` per row for short inputs, error-free
+extraction for long ones), so the order of the states does not matter and
+exact-decimal inputs reproduce exact-fraction references to ~1e-15.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .errors import InvalidInputError, OutOfRangeError, ZeroPayoffError
 
 #: Probabilities must sum to one within this absolute tolerance.
 PROBABILITY_SUM_TOL = 1e-12
+
+#: ``fsum_rows`` extracts inputs of at least this many terms; below it one
+#: ``math.fsum`` per row is faster.
+EXTRACT_MIN_TERMS = 1024
 
 
 def readonly(data) -> np.ndarray:
@@ -70,9 +74,9 @@ def check_states(q: np.ndarray, values: np.ndarray) -> None:
 def moment_sums(q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means ``E[v_i]`` and second moments ``E[v_i v_j]`` of the columns of ``values``.
 
-    Each entry is one compensated sum of the products ``q*v_i`` or
-    ``(q*v_i)*v_j`` over the states; an entry beyond the float range is NaN
-    or infinite.
+    Each entry is one exactly rounded sum (:func:`fsum_rows`) of the products
+    ``q*v_i`` or ``(q*v_i)*v_j`` over the states; an entry beyond the float
+    range is NaN or infinite.
     """
     weighted = (q[:, None] * values).T
     n = len(weighted)
@@ -88,7 +92,31 @@ def moment_sums(q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def fsum_rows(terms: np.ndarray) -> list[float]:
     """Exactly rounded sum of each row; NaN for all of them when one leaves
-    the float range (or holds both infinities)."""
+    the float range (or holds both infinities).
+
+    Long inputs of finite terms below ``2**(1023 - bits)``, with
+    ``2**bits >= row length + 2``, are summed by error-free extraction (Rump,
+    Ogita & Oishi 2008): each pass splits every term at one power of two into
+    a high part, whose row sums are exact in any order, and an exact residual
+    ``2**(53 - bits)`` times smaller.  One ``math.fsum`` of each row's few
+    partial sums then rounds once, so the bits are those of ``math.fsum`` of
+    the row, the path all other inputs take.
+    """
+    if terms.size >= EXTRACT_MIN_TERMS:
+        bits = (terms.shape[1] + 1).bit_length()
+        res = np.array(terms, dtype=float)
+        high = np.abs(res)
+        mag = high.max()
+        if mag < 2.0 ** (1023 - bits):  # false for NaN and inf
+            parts = []
+            while mag > 0.0:
+                sigma = math.ldexp(1.0, math.frexp(mag)[1] + bits)
+                np.add(res, sigma, out=high)
+                high -= sigma
+                res -= high
+                parts.append(high.sum(axis=1))
+                mag = np.abs(res, out=high).max()
+            return [math.fsum(row) for row in np.reshape(parts, (-1, len(res))).T.tolist()]
     rows = terms.tolist()
     try:
         return [math.fsum(row) for row in rows]

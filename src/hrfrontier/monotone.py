@@ -9,7 +9,7 @@ has the sign of ``E[W(k - W); W <= k]``, which turns once as ``k`` rises
 through the sorted gains.  A bisection over the gains, one exact sign test
 per probe, finds the kept states ``{W <= k}`` in O(S log S); the cap
 ``k = E[W^2; W <= k] / E[W; W <= k]`` and the ratio then come from
-compensated sums over them.  The cap satisfies the first-order condition
+exactly rounded sums over them.  The cap satisfies the first-order condition
 ``E[W; aW <= 1] = a E[W^2; aW <= 1]`` at ``a = 1/k``, which doubles as a
 built-in verification.
 

@@ -32,7 +32,9 @@ from hrfrontier import (
     gram_from_scenarios,
     gram_from_sequence_space,
     kernel_frontier,
+    monotone_hansen_ratio,
     monotone_hj_bound,
+    special_portfolios,
     tree_oracle,
 )
 from hrfrontier.cli import main
@@ -288,10 +290,21 @@ def priced_scenario_market(draw):
     """A market and the nonnegative kernel ``k`` that sets its prices,
     ``prices = (q k) @ V``: explicit scenario payoffs, or a sequence market
     priced on its (date, state) atoms."""
+    rng = None
     if draw(st.booleans()):
-        n_states = draw(st.integers(1, 64))
-        q, rows = draw(states(n_states, draw(st.integers(1, min(n_states, 5)))))
-        q, values = np.array(q), np.array(rows)
+        if draw(st.integers(0, 3)):
+            n_states = draw(st.integers(1, 64))
+            q, rows = draw(states(n_states, draw(st.integers(1, min(n_states, 5)))))
+            q, values = np.array(q), np.array(rows)
+        else:
+            # Long enough that the moments are summed by extraction; drawn
+            # from a seeded generator, since drawing each of so many states
+            # would overrun Hypothesis's data budget.
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            n_states = draw(st.integers(512, 1500))
+            q = rng.uniform(0.1, 1.0, n_states)
+            q /= math.fsum(q.tolist())
+            values = rng.integers(-8, 9, (n_states, draw(st.integers(1, 5)))) / 4
 
         def build(prices):
             basis = [ScenarioPayoff.from_arrays(q, column) for column in values.T]
@@ -314,7 +327,10 @@ def priced_scenario_market(draw):
         if market is None:
             return None
         q, values = market.state_probabilities, market.scenario_values
-    kernel = np.array(draw(st.lists(KERNEL_VALUE, min_size=len(q), max_size=len(q))))
+    if rng is not None:
+        kernel = np.where(rng.random(len(q)) < 0.3, 0.0, rng.uniform(0.0, 2.0, len(q)))
+    else:
+        kernel = np.array(draw(st.lists(KERNEL_VALUE, min_size=len(q), max_size=len(q))))
     return build, q, values, kernel
 
 
@@ -331,4 +347,5 @@ def test_statewise_entry_points_end_cleanly(case):
     if family is not None:
         _clean(lambda: check_kernel(family.kernel(family.eta_star or 0.0), market))
     _clean(lambda: monotone_hj_bound(market, ScenarioPayoff(q, kernel)))
+    _clean(lambda: monotone_hansen_ratio(ScenarioPayoff(q, values @ special_portfolios(market).w_x)))
     _clean(lambda: tree_oracle(market, 2))

@@ -2,8 +2,8 @@
 
 Permuting the states or the assets, merging duplicated states and rescaling
 the payoffs or the prices describe the same market, so its ratios and bounds
-must not move.  Every Gram entry and mean is one compensated sum, which makes
-some of these invariances exact.
+must not move.  Every Gram entry and mean is one exactly rounded sum, which
+makes some of these invariances exact.
 """
 
 from __future__ import annotations
@@ -125,14 +125,16 @@ def test_the_ratio_bound_does_not_depend_on_the_scale(k):
 
 def test_a_catastrophically_cancelling_cross_moment_is_exact():
     # (q v1) v2 has the terms 1/4, 9e16, 1/4, -9e16 in this order: a running
-    # sum loses both quarters to the 9e16, the exact sum is 1/2.
-    probs = np.full(4, 0.25)
+    # sum loses both quarters to the 9e16, the exact sum is 1/2.  Tiled to
+    # 1,024 states, the moments are long enough to be summed by extraction.
     big = 6e8
-    values = np.array([[1.0, 1.0], [big, big], [1.0, 1.0], [big, -big]])
-    market = market_of(probs, values, probs @ values)
-    # Every product here is exact, so the exact moments are sums of them.
-    cross = [[(probs * values[:, i]) * values[:, j] for j in range(2)] for i in range(2)]
-    exact = [[float(sum(map(Fraction, terms))) for terms in row] for row in cross]
-    assert market.gram.tolist() == exact and exact[0][1] == 0.5
-    assert market.means.tolist() == [float(sum(map(Fraction, probs * v))) for v in values.T]
+    for tiles in (1, 256):
+        probs = np.full(4 * tiles, 0.25 / tiles)
+        values = np.tile([[1.0, 1.0], [big, big], [1.0, 1.0], [big, -big]], (tiles, 1))
+        market = market_of(probs, values, probs @ values)
+        # Every product here is exact, so the exact moments are sums of them.
+        cross = [[(probs * values[:, i]) * values[:, j] for j in range(2)] for i in range(2)]
+        exact = [[float(sum(map(Fraction, terms))) for terms in row] for row in cross]
+        assert market.gram.tolist() == exact and exact[0][1] == 0.5
+        assert market.means.tolist() == [float(sum(map(Fraction, probs * v))) for v in values.T]
 

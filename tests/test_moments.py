@@ -14,6 +14,7 @@ from hrfrontier import (
     sr_to_hr,
     stats,
 )
+from hrfrontier.moments import EXTRACT_MIN_TERMS, fsum_rows
 from conftest import random_payoff
 
 # Three-state example payoffs: the second improves the first statewise yet
@@ -272,3 +273,96 @@ def test_sharpe_identity(pay):
     lhs = 1.0 + ratios.sharpe**2
     rhs = 1.0 / (1.0 - ratios.hansen**2)
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _row_sums_case(name: str, length: int) -> np.ndarray:
+    """Three rows of ``length`` terms of the named kind."""
+    rng = np.random.default_rng(length)
+    shape = (3, length)
+    bits = (length + 1).bit_length()
+    limit = 2.0 ** (1023 - bits)  # the largest term extraction may take, exclusive
+    if name == "cancelling":
+        # Pairs x, -x shuffled among quarters: a running sum loses the quarters.
+        k = length // 3
+        big = rng.standard_normal((3, k)) * 10.0 ** rng.uniform(10, 20, (3, k))
+        terms = np.concatenate((big, -big, np.full((3, length - 2 * k), 0.25)), axis=1)
+        return rng.permuted(terms, axis=1)
+    if name == "spread":
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    if name == "near_ties":
+        # Exactly 1 + 2**-53 (a tie) plus or minus 2**-106: only the last bit
+        # decides the rounding.
+        terms = np.zeros(shape)
+        terms[:, :3] = [
+            [1.0, 2.0**-53, 2.0**-106],
+            [-1.0, -(2.0**-53), -(2.0**-106)],
+            [1.0, 2.0**-53, -(2.0**-106)],
+        ]
+        return rng.permuted(terms, axis=1)
+    if name == "one_sign":
+        # Terms just below one with low bits set: the row sums of the high
+        # parts need the full 2**bits >= length + 2 headroom to stay exact.
+        signs = np.array([[1.0], [-1.0], [-1.0]])
+        return signs * (1.0 - rng.integers(1, 2**20, shape) * 2.0**-53)
+    if name == "subnormal":
+        return rng.integers(-(2**20), 2**20, shape) * 5e-324
+    if name == "signed_zeros":
+        terms = rng.choice([0.0, -0.0], shape)
+        terms[0] = -0.0
+        terms[1, :2] = (-1e-310, 1e-310)
+        return terms
+    if name == "below_limit":
+        terms = rng.uniform(-1.0, 1.0, shape) * limit
+        terms[:, 0] = np.nextafter(limit, 0.0) * np.array([1.0, -1.0, 1.0])
+        return terms
+    if name == "at_limit":
+        terms = rng.uniform(-1.0, 1.0, shape) * limit
+        terms[1, 0] = -limit
+        return terms
+    if name == "past_limit":
+        terms = rng.uniform(-1.0, 1.0, shape) * limit
+        terms[2, 0] = np.nextafter(limit, math.inf)
+        return terms
+    terms = rng.standard_normal(shape)
+    if name == "overflow":
+        terms[1, :4] = 2.0**1022
+    elif name == "inf":
+        terms[0, 3] = -math.inf
+    elif name == "inf_minus_inf":
+        terms[2, :2] = (math.inf, -math.inf)
+    elif name == "nan":
+        terms[1, 5] = math.nan
+    return terms
+
+
+#: Cases whose terms are finite and below the extraction limit.
+EXTRACTABLE = (
+    "cancelling", "spread", "near_ties", "one_sign", "subnormal", "signed_zeros", "below_limit"
+)
+OTHERS = ("at_limit", "past_limit", "overflow", "inf", "inf_minus_inf", "nan")
+
+
+@pytest.mark.parametrize("length", [EXTRACT_MIN_TERMS // 3, EXTRACT_MIN_TERMS // 3 + 1])
+@pytest.mark.parametrize("name", EXTRACTABLE + OTHERS)
+def test_row_sums_are_the_bits_of_one_fsum_per_row(name, length, monkeypatch):
+    terms = _row_sums_case(name, length)
+    try:
+        want = [math.fsum(row) for row in terms.tolist()]
+    except (OverflowError, ValueError):
+        want = [math.nan] * len(terms)
+    # Which engine ran shows in the lists handed to math.fsum: whole rows, or
+    # a few partial sums per row.
+    fsum, lengths = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+    got = fsum_rows(terms)
+    monkeypatch.undo()
+    extracted = terms.size >= EXTRACT_MIN_TERMS and name in EXTRACTABLE
+    assert (length in lengths) != extracted
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        if math.isnan(w):
+            assert math.isnan(g)
+        else:
+            assert (g, math.copysign(1.0, g)) == (w, math.copysign(1.0, w))
+    if name in ("overflow", "inf_minus_inf"):
+        assert all(map(math.isnan, got))
