@@ -35,6 +35,18 @@ from .frontier import special_portfolios
 from .moments import ScenarioPayoff, check_states, moment_sums, readonly
 
 
+def _check_symmetric(a: np.ndarray, name: str) -> None:
+    """Reject a finite square ``a`` unless ``max|a - aT| <= 1e-12 * max(1, max|a|)``.
+
+    The difference is formed 32 rows at a time, so no temporary outgrows a band.
+    """
+    tol = 1e-12 * max(1.0, float(a.max()), -float(a.min()))
+    for i in range(0, len(a), 32):
+        band = a[i : i + 32] - a[:, i : i + 32].T
+        if float(np.abs(band, out=band).max()) > tol:
+            raise InvalidInputError(f"{name} is not symmetric")
+
+
 @dataclass(frozen=True, eq=False)
 class AssetUniverse:
     """Asset returns summarized by their means and covariance matrix
@@ -57,9 +69,7 @@ class AssetUniverse:
             )
         if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
             raise InvalidInputError("mean returns and covariance must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
-            raise InvalidInputError("covariance matrix is not symmetric")
+        _check_symmetric(cov, "covariance matrix")
         spd_factor(cov, name="covariance matrix")
 
     @property
@@ -106,9 +116,7 @@ class GramMarket:
             )
         if not all(np.isfinite(a).all() for a in (gram, means, prices)):
             raise InvalidInputError("gram matrix, means and prices must be finite")
-        scale = max(1.0, float(np.abs(gram).max()))
-        if float(np.abs(gram - gram.T).max()) > 1e-12 * scale:
-            raise InvalidInputError("gram matrix is not symmetric")
+        _check_symmetric(gram, "gram matrix")
         if not np.any(prices):
             raise DegeneratePricesError("all prices are zero; no unit-cost payoff exists")
 
@@ -127,7 +135,9 @@ def gram_from_universe(universe: AssetUniverse) -> GramMarket:
     Prices are all one, so portfolio cost equals the sum of weights.
     """
     with np.errstate(over="ignore"):  # an infinite Gram matrix is rejected below
-        gram = universe.covariance + np.outer(universe.mean_returns, universe.mean_returns)
+        gram = np.outer(universe.mean_returns, universe.mean_returns)
+        gram += universe.covariance
+    gram.flags.writeable = False
     market = GramMarket(
         gram=gram,
         means=universe.mean_returns,
@@ -283,7 +293,7 @@ def gram_from_sequence_space(
 
 def _float_array(data: Mapping[str, Any], name: str) -> np.ndarray:
     try:
-        return np.asarray(data[name], dtype=float)
+        return readonly(data[name])
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(
             "market field is not a numeric array", field=name, error=str(exc)

@@ -33,7 +33,11 @@ EXTRACT_MIN_TERMS = 1024
 
 
 def readonly(data) -> np.ndarray:
-    """A read-only float copy of ``data``."""
+    """``data`` as a read-only float array: itself when it already is one that
+    owns its memory, else a copy."""
+    owned = type(data) is np.ndarray and data.dtype == float and data.base is None
+    if owned and not data.flags.writeable:
+        return data
     out = np.array(data, dtype=float)
     out.flags.writeable = False
     return out
@@ -62,7 +66,7 @@ def check_states(q: np.ndarray, values: np.ndarray) -> None:
         raise InvalidInputError(
             "state probability must lie in (0, 1]", state=i, probability=float(q[i])
         )
-    total = math.fsum(q.tolist())
+    total = fsum_rows(q[None])[0]
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise InvalidInputError(
             "probabilities do not sum to one",
@@ -81,9 +85,14 @@ def moment_sums(q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     weighted = (q[:, None] * values).T
     n = len(weighted)
     rows, cols = _upper_triangle(n)
+    # The rows of ``cross`` follow ``rows, cols``: asset i's group holds entries (i, i..n-1).
+    cross = np.empty((len(rows), len(q)))
+    start = 0
     with np.errstate(over="ignore"):
-        cross = weighted[rows] * values.T[cols]
-    means, sums = fsum_rows(weighted), fsum_rows(cross)
+        for i in range(n):
+            np.multiply(weighted[i], values.T[i:], out=cross[start : start + n - i])
+            start += n - i
+    means, sums = _fsum_rows(weighted), _fsum_rows(cross)
     gram = np.empty((n, n))
     gram[rows, cols] = sums
     gram[cols, rows] = sums
@@ -100,23 +109,29 @@ def fsum_rows(terms: np.ndarray) -> list[float]:
     a high part, whose row sums are exact in any order, and an exact residual
     ``2**(53 - bits)`` times smaller.  One ``math.fsum`` of each row's few
     partial sums then rounds once, so the bits are those of ``math.fsum`` of
-    the row, the path all other inputs take.
+    the row, the path all other inputs take.  ``terms`` is left unchanged.
     """
     if terms.size >= EXTRACT_MIN_TERMS:
+        terms = np.array(terms, dtype=float)
+    return _fsum_rows(terms)
+
+
+def _fsum_rows(terms: np.ndarray) -> list[float]:
+    """:func:`fsum_rows` of a float array, which long inputs overwrite."""
+    if terms.size >= EXTRACT_MIN_TERMS:
         bits = (terms.shape[1] + 1).bit_length()
-        res = np.array(terms, dtype=float)
-        high = np.abs(res)
+        high = np.abs(terms)
         mag = high.max()
         if mag < 2.0 ** (1023 - bits):  # false for NaN and inf
             parts = []
             while mag > 0.0:
                 sigma = math.ldexp(1.0, math.frexp(mag)[1] + bits)
-                np.add(res, sigma, out=high)
+                np.add(terms, sigma, out=high)
                 high -= sigma
-                res -= high
+                terms -= high
                 parts.append(high.sum(axis=1))
-                mag = np.abs(res, out=high).max()
-            return [math.fsum(row) for row in np.reshape(parts, (-1, len(res))).T.tolist()]
+                mag = np.abs(terms, out=high).max()
+            return [math.fsum(row) for row in np.reshape(parts, (-1, len(terms))).T.tolist()]
     rows = terms.tolist()
     try:
         return [math.fsum(row) for row in rows]
@@ -161,7 +176,7 @@ class ScenarioPayoff:
         """
         q = np.array(probabilities, dtype=float)
         if renormalize:
-            total = math.fsum(q.ravel().tolist())
+            total = fsum_rows(q.reshape(1, -1))[0]
             if not total > 0 or abs(total - 1.0) > sum_tol:
                 raise InvalidInputError(
                     "probabilities too far from one to renormalize",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import Sequence
 
@@ -208,3 +209,15 @@ def exact_verify_oracle(gram, means, prices, horizon: int) -> dict[str, Fraction
         "frontier_sigma_curvature": sigma_curvature,
         "frontier_sigma_center": mu_z,
     }
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak, as numpy reports its buffers to tracemalloc."""
+    call()  # caches and first-call allocations are not the call's own
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -535,10 +535,13 @@ class TestUsageErrors:
             "invalid_input",
         ),
         (["mhr", "--renormalize", "--prob-tol", "1e-6"], "nan,0.0\n", "invalid_input"),
+        (["mhr", "--renormalize"], "inf,1.0\n-inf,2.0\n", "invalid_input"),
+        (["mhr", "--renormalize"], "1e308,1.0\n1e308,2.0\n", "invalid_input"),
     ],
     ids=[
         "points-of-a-degenerate-frontier", "tiny-price", "tiny-gram", "ratio-of-y-above-one",
         "subnormal-beta", "overflowing-second-moment", "nan-probability-renormalized",
+        "infinite-probabilities-renormalized", "overflowing-probabilities-renormalized",
     ],
 )
 def test_inputs_at_the_edge_of_the_float_range_end_cleanly(capsys, tmp_path, argv, text, code):

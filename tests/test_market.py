@@ -31,6 +31,7 @@ from conftest import (
     random_sequence_market,
     random_universe,
     scenario_universe,
+    traced_peak,
 )
 from hrfrontier.moments import moment_sums
 
@@ -404,6 +405,101 @@ def test_arrays_are_readonly(benchmark_market):
         benchmark_market.gram[0, 0] = 0.0
     with pytest.raises(ValueError):
         benchmark_market.prices[0] = 2.0
+    universe = random_universe(np.random.default_rng(0), 4)
+    markets = [
+        benchmark_market,
+        gram_from_universe(universe),
+        market_from_json({"kind": "gram", "G": [[1.25]], "m": [1.1], "p": [1.0]}),
+        *builder_markets(),
+    ]
+    arrays = [universe.mean_returns, universe.covariance]
+    for market in markets:
+        arrays += [market.gram, market.means, market.prices]
+        if market.is_scenario_backed:
+            arrays += [market.state_probabilities, market.scenario_values]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("kind", ["universe", "gram"])
+def test_a_market_read_from_a_mapping_of_writable_arrays_shares_none_of_them(kind):
+    mu = np.array(BENCHMARK_MU)
+    sigma = np.array(BENCHMARK_SIGMA)
+    if kind == "universe":
+        data = {"kind": kind, "mu": mu, "sigma": sigma}
+    else:
+        data = {"kind": kind, "G": sigma + np.outer(mu, mu), "m": mu, "p": np.ones(3)}
+    before = {name: a.copy() for name, a in data.items() if name != "kind"}
+    market = market_from_json(data)
+    for name, a in before.items():
+        assert data[name].flags.writeable and np.array_equal(data[name], a)
+        for kept in (market.gram, market.means, market.prices):
+            assert not np.shares_memory(kept, data[name])
+
+
+def test_a_universe_market_holds_no_matrix_sized_temporaries():
+    # The build peaks at 3.05 n² doubles.  A whole-matrix difference in a
+    # symmetry test, Σ + μμᵀ formed beside μμᵀ, or a second copy of an array
+    # that is already read-only each lift it past 4.
+    n = 300
+    rng = np.random.default_rng(0)
+    factor = rng.standard_normal((n, n)) / n**0.5
+    data = {
+        "kind": "universe",
+        "mu": rng.uniform(0.5, 1.5, n).tolist(),
+        "sigma": (factor @ factor.T + 0.1 * np.eye(n)).tolist(),
+    }
+    assert traced_peak(lambda: market_from_json(data)) <= 3.5 * n * n * 8
+
+
+def _rejected_whole(a: np.ndarray) -> bool:
+    """The symmetry test as one whole-matrix formula."""
+    return float(np.abs(a - a.T).max()) > 1e-12 * max(1.0, float(np.abs(a).max()))
+
+
+def _largest_accepted(a: np.ndarray, i: int, j: int) -> float:
+    """The largest ``a[i, j]`` that :func:`_rejected_whole` accepts, every other entry fixed."""
+    b = a.copy()
+
+    def rejects(value: float) -> bool:
+        b[i, j] = value
+        return _rejected_whole(b)
+
+    value = a[j, i] + 1e-12 * max(1.0, float(np.abs(a).max()))
+    while rejects(value):
+        value = np.nextafter(value, -math.inf)
+    while not rejects(np.nextafter(value, math.inf)):
+        value = np.nextafter(value, math.inf)
+    return value
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 65])
+@pytest.mark.parametrize("largest", ["diagonal", "negative", "below_one"])
+def test_symmetry_checks_accept_and_reject_as_the_whole_matrix_formula(n, largest):
+    # Asymmetric pairs in the last band of 32 rows, on either side of the
+    # diagonal, and across the edge between rows 31 and 32 (the last two rows
+    # when there is one band), each one ulp inside and one ulp outside the
+    # tolerance.  ``largest`` picks the entry that sets the scale.
+    rng = np.random.default_rng(n)
+    half = rng.uniform(-0.25, 0.25, (n, n))
+    a = half + half.T + n * np.eye(n)
+    if largest == "negative":
+        a[0, 1] = a[1, 0] = -3.0 * n
+    elif largest == "below_one":
+        a /= 2.0 * n
+    edge = (31, 32) if n > 32 else (n - 2, n - 1)
+    for i, j in ((n - 1, 1), (1, n - 1), edge):
+        inside = a.copy()
+        inside[i, j] = _largest_accepted(a, i, j)
+        outside = inside.copy()
+        outside[i, j] = np.nextafter(inside[i, j], math.inf)
+        assert not _rejected_whole(inside) and _rejected_whole(outside)
+        GramMarket(inside, np.ones(n), np.ones(n))
+        with pytest.raises(InvalidInputError, match="^gram matrix is not symmetric$"):
+            GramMarket(outside, np.ones(n), np.ones(n))
+        if largest != "negative":  # a covariance must also be positive definite
+            AssetUniverse(np.ones(n), inside)
+            with pytest.raises(InvalidInputError, match="^covariance matrix is not symmetric$"):
+                AssetUniverse(np.ones(n), outside)
 
 
 def test_markets_compare_and_hash_by_identity(benchmark_market):

@@ -14,8 +14,8 @@ from hrfrontier import (
     sr_to_hr,
     stats,
 )
-from hrfrontier.moments import EXTRACT_MIN_TERMS, fsum_rows
-from conftest import random_payoff
+from hrfrontier.moments import EXTRACT_MIN_TERMS, fsum_rows, moment_sums, readonly
+from conftest import random_payoff, traced_peak
 
 # Three-state example payoffs: the second improves the first statewise yet
 # has a lower mean/L2 ratio.
@@ -354,8 +354,10 @@ def test_row_sums_are_the_bits_of_one_fsum_per_row(name, length, monkeypatch):
     # a few partial sums per row.
     fsum, lengths = math.fsum, []
     monkeypatch.setattr(math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+    before = terms.tobytes()
     got = fsum_rows(terms)
     monkeypatch.undo()
+    assert terms.tobytes() == before and terms.flags.writeable
     extracted = terms.size >= EXTRACT_MIN_TERMS and name in EXTRACTABLE
     assert (length in lengths) != extracted
     assert len(got) == len(want) == 3
@@ -366,3 +368,46 @@ def test_row_sums_are_the_bits_of_one_fsum_per_row(name, length, monkeypatch):
             assert (g, math.copysign(1.0, g)) == (w, math.copysign(1.0, w))
     if name in ("overflow", "inf_minus_inf"):
         assert all(map(math.isnan, got))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_moment_sums_are_one_fsum_per_entry(n):
+    # Three state counts: every sum below EXTRACT_MIN_TERMS, the second
+    # moments at or past it (for n > 1 the means not), and every sum past it.
+    pairs = n * (n + 1) // 2
+    rng = np.random.default_rng(n)
+    for states in (
+        (EXTRACT_MIN_TERMS - 1) // pairs, -(-EXTRACT_MIN_TERMS // pairs), -(-EXTRACT_MIN_TERMS // n)
+    ):
+        q = readonly(rng.dirichlet(np.ones(states)))
+        values = readonly(rng.standard_normal((states, n)) * 10.0 ** rng.uniform(-3, 3, n))
+        means, gram = moment_sums(q, values)
+        weighted = q[:, None] * values
+        want = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                want[i, j] = want[j, i] = math.fsum((weighted[:, i] * values[:, j]).tolist())
+        assert np.array_equal(gram, want)
+        assert np.array_equal(means, [math.fsum(weighted[:, i].tolist()) for i in range(n)])
+
+
+def test_readonly_copies_all_but_an_owned_read_only_float_array():
+    owned = readonly([1.0, 2.0])
+    assert readonly(owned) is owned
+    writable, view, ints = np.array([1.0, 2.0]), owned[:1], np.array([1, 2])
+    for data in (writable, view, ints):
+        out = readonly(data)
+        assert out is not data and not out.flags.writeable and out.dtype == float
+        assert not np.shares_memory(out, data)
+    assert writable.flags.writeable
+
+
+def test_moment_sums_hold_one_cross_moment_buffer_and_its_extraction_buffer():
+    # The products of all pairs, one extraction buffer the same size and the
+    # weighted states: 2.19 cross-sizes.  A copy of the products for the
+    # extraction lifts it past the budget.
+    states, n = 1400, 10
+    rng = np.random.default_rng(1)
+    q, values = readonly(rng.dirichlet(np.ones(states))), readonly(rng.standard_normal((states, n)))
+    cross_bytes = n * (n + 1) // 2 * states * 8
+    assert traced_peak(lambda: moment_sums(q, values)) <= 2.5 * cross_bytes
