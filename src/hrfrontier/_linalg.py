@@ -1,8 +1,9 @@
 """Dense SPD linear algebra: one checked Cholesky factor and its sweeps.
 
-``spd_factor`` factors a Gram or covariance matrix once; ``triangular_solve``
+``spd_factor`` factors a Gram or covariance matrix once, and ``check_pivots``
+is its pivot test, also for pivots found without factoring; ``triangular_solve``
 sweeps a triangular factor forward (lower) or back (upper) by substitution,
-so no system is refactored.  Both need numpy only.
+so no system is refactored.  All need numpy only.
 """
 
 from __future__ import annotations
@@ -30,15 +31,22 @@ def spd_factor(matrix: np.ndarray, *, name: str = "gram matrix") -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"{name} is not positive definite", size=a.shape[0]
         ) from exc
-    pivots = np.diag(lower) ** 2
-    floor = SPD_PIVOT_FACTOR * np.trace(a) / a.shape[0]
-    if pivots.min() < floor:
+    check_pivots(np.diag(lower) ** 2, a, name=name)
+    return lower
+
+
+def check_pivots(pivots: np.ndarray, matrix: np.ndarray, *, name: str = "gram matrix") -> None:
+    """Raise NotPositiveDefiniteError unless every Cholesky pivot of
+    ``matrix`` (a squared diagonal entry of its factor) reaches
+    ``1e-10 * trace/n``; a NaN pivot fails too."""
+    floor = SPD_PIVOT_FACTOR * matrix.trace() / matrix.shape[0]
+    low = pivots.min()
+    if not low >= floor:
         raise NotPositiveDefiniteError(
             f"{name} is numerically singular (pivot below tolerance)",
-            min_pivot=float(pivots.min()),
+            min_pivot=float(low),
             pivot_floor=float(floor),
         )
-    return lower
 
 
 def triangular_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.ndarray:
@@ -53,6 +61,8 @@ def triangular_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.nda
     result is exactly ``np.linalg.solve(tri, rhs)``.
     """
     n = tri.shape[0]
+    if n <= SOLVE_BLOCK:
+        return np.linalg.solve(tri, rhs)
     blocks = [slice(i, min(i + SOLVE_BLOCK, n)) for i in range(0, n, SOLVE_BLOCK)]
     x = np.array(rhs, dtype=float)
     for b in blocks if lower else reversed(blocks):

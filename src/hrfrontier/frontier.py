@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import spd_factor, triangular_solve
+from ._linalg import check_pivots, spd_factor, triangular_solve
 from .errors import (
     ArbitrageError,
     DegenerateFrontierError,
@@ -171,16 +171,49 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     ``[omega_sq_y c | b_x]`` with ``L^T`` gives ``w_y`` and ``w_x``.  Both
     sweeps are blocked triangular substitution (``triangular_solve``).  The
     result is memoized on the market, which is frozen with read-only arrays,
-    so the memo cannot go stale; its weight arrays are read-only too.
+    so the memo cannot go stale; its weight arrays are read-only too.  A
+    universe market is solved when it is built, on its covariance factor
+    (``_solve``), and never factors ``G``.
     """
     memo = market.__dict__.get("_special_portfolios")
     if memo is not None:
         return memo
-    lower = spd_factor(market.gram)
+    return _solve(market, spd_factor(market.gram))
+
+
+def _solve(
+    market: GramMarket, lower: np.ndarray, *, covariance: bool = False
+) -> SpecialPortfolios:
+    """``special_portfolios`` on ``lower``: the Cholesky factor ``L`` of
+    ``G``, or, with ``covariance``, the factor ``C`` of ``G - m m^T``.
+
+    Then ``L = C M`` for the factor ``M`` of ``I + v v^T``, ``v = C^-1 m``
+    (Gill, Golub, Murray & Saunders 1974, method C1).  With ``t_0 = 1`` and
+    ``t_j = 1 + v_1^2 + ... + v_j^2``, ``M`` has the diagonal
+    ``sqrt(r_j) = sqrt(t_j / t_(j-1))`` and the entries
+    ``v_i v_j / sqrt(t_(j-1) t_j)`` below it.  So ``L``'s pivots are
+    ``(C_jj sqrt(r_j))^2``, tested as ``spd_factor`` tests a factor's, and
+    ``M^-1`` and ``M^-T`` are O(n) stages of cumulative sums between the
+    sweeps with ``C``; neither ``M`` nor ``L`` is formed.
+    """
     with np.errstate(all="ignore"):  # a solve beyond the float range is rejected below
-        c, b = triangular_solve(
+        forward = triangular_solve(
             lower, np.column_stack((market.prices, market.means)), lower=True
-        ).T
+        )
+        c, b = forward.T
+        if covariance:
+            # c = C^-1 p and v = b = C^-1 m.  With s_j = v_1 c_1 + ... + v_(j-1) c_(j-1),
+            # M^-1 takes c to (c - v s / t_(j-1)) / sqrt(r) and v to v / sqrt(t_(j-1) t_j).
+            # sqrt(r_j) is hypot(1, v_j / sqrt(t_(j-1))), which stays finite
+            # (and the pivots with it) when v_j^2 or t_j overflows.
+            v = b
+            sums = np.zeros((len(v) + 1, 2))
+            (forward * v[:, None]).cumsum(0, out=sums[1:])
+            t_prev = 1.0 + sums[:-1, 1]
+            root_r, v_t = np.hypot(1.0, v / np.sqrt(t_prev)), v / t_prev
+            check_pivots((lower.diagonal() * root_r) ** 2, market.gram)
+            c = (c - v_t * sums[:-1, 0]) / root_r
+            b = v_t / root_r
         c_sq = float(c @ c)
         if 0.0 < c_sq < math.inf:
             omega_sq_y = 1.0 / c_sq
@@ -190,9 +223,13 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
             hr_sq_x = float(b_x @ b_x)
             # Finite ratios leave no inf or NaN in the weights they sum.
             solved = all(map(math.isfinite, (omega_sq_y, hr_sq_y, hr_sq_x)))
-            w_y, w_x = triangular_solve(
-                lower.T, np.column_stack((omega_sq_y * c, b_x)), lower=False
-            ).T
+            back = np.column_stack((omega_sq_y * c, b_x))
+            if covariance:
+                # M^-T: back / sqrt(r), less v_j times the sum over k > j of
+                # v_k back_k / t_(k-1).
+                back /= root_r[:, None]
+                back[:-1] -= v[:-1, None] * (v_t[:, None] * back)[:0:-1].cumsum(0)[::-1]
+            w_y, w_x = triangular_solve(lower.T, back, lower=False).T
     if not (0.0 < c_sq < math.inf and solved):
         raise InvalidInputError("the market's solve leaves the floating-point range")
     if hr_sq_x >= 1.0 - ARBITRAGE_TOL:

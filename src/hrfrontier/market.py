@@ -31,7 +31,7 @@ from .errors import (
     InvalidInputError,
     StateSpaceMismatchError,
 )
-from .frontier import special_portfolios
+from .frontier import _solve, special_portfolios
 from .moments import ScenarioPayoff, check_states, moment_sums, readonly
 
 
@@ -50,10 +50,12 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
 @dataclass(frozen=True, eq=False)
 class AssetUniverse:
     """Asset returns summarized by their means and covariance matrix
-    (compared and hashed by identity, like a market)."""
+    (compared and hashed by identity, like a market).  The covariance's
+    checked Cholesky factor is kept, read-only, for the market's solve."""
 
     mean_returns: np.ndarray
     covariance: np.ndarray
+    _factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mu = readonly(np.atleast_1d(self.mean_returns))
@@ -70,7 +72,9 @@ class AssetUniverse:
         if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
             raise InvalidInputError("mean returns and covariance must be finite")
         _check_symmetric(cov, "covariance matrix")
-        spd_factor(cov, name="covariance matrix")
+        factor = spd_factor(cov, name="covariance matrix")
+        factor.flags.writeable = False
+        object.__setattr__(self, "_factor", factor)
 
     @property
     def n(self) -> int:
@@ -132,7 +136,8 @@ class GramMarket:
 def gram_from_universe(universe: AssetUniverse) -> GramMarket:
     """Market of fully priced assets: Gram = covariance + outer(means).
 
-    Prices are all one, so portfolio cost equals the sum of weights.
+    Prices are all one, so portfolio cost equals the sum of weights.  The
+    market is solved on the covariance's factor, so G is never factored.
     """
     with np.errstate(over="ignore"):  # an infinite Gram matrix is rejected below
         gram = np.outer(universe.mean_returns, universe.mean_returns)
@@ -143,7 +148,7 @@ def gram_from_universe(universe: AssetUniverse) -> GramMarket:
         means=universe.mean_returns,
         prices=np.ones(universe.n),
     )
-    special_portfolios(market)
+    _solve(market, universe._factor, covariance=True)
     return market
 
 

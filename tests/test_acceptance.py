@@ -172,18 +172,32 @@ def test_criterion_2_four_period_benchmark_regression():
     _report("2", failures, f"{elapsed:.3f}s")
 
 
-def test_every_verify_row_is_within_1e13_of_its_exact_value():
+def _verify_distances() -> dict[str, float]:
+    """Relative distance of each ``verify`` row from its exact value."""
     exact = exact_verify_oracle(*BENCHMARK_EXACT, 4)
     report = verification_report()
     assert len(report["values"]) == len(exact) == 18
-    distances = {
+    return {
         row["name"]: abs(row["computed"] - float(exact[row["name"]]))
         / abs(float(exact[row["name"]]))
         for row in report["values"]
     }
+
+
+def test_every_verify_row_is_within_1e13_of_its_exact_value():
+    distances = _verify_distances()
     worst = max(distances, key=distances.get)
     print(f"\nworst verify row vs exact: {worst} {distances[worst]:.2e}")
     assert distances[worst] <= 1e-13, distances
+
+
+def test_every_verify_row_is_within_2e14_of_its_exact_value():
+    # The worst row is 7.8e-15 (multiperiod_sigma_sq_z), and a solve on G's
+    # own factor reaches 5.3e-14.  Rounding the decimal inputs to floats alone
+    # moves multiperiod_omega_sq_y 3.5e-15 from its exact value, so no solve
+    # of these floats can be held to 1e-15.
+    distances = _verify_distances()
+    assert max(distances.values()) <= 2e-14, distances
 
 
 def test_criterion_3_worked_ratio_examples():

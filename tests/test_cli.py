@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,43 @@ def test_non_finite_or_malformed_numbers_are_invalid_input(capsys, tmp_path, tex
     code, out, err = run_cli(capsys, "frontier", "--input", str(path))
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    ("mu", "sigma", "message"),
+    [
+        (
+            [1.0, 1.1],
+            [[1.0, 1.0], [1.0, 1.0 + 1e-12]],
+            "covariance matrix is numerically singular (pivot below tolerance)",
+        ),
+        (
+            [1.0, 1.001],
+            [[1e-12, 0.0], [0.0, 1e-12]],
+            "gram matrix is numerically singular (pivot below tolerance)",
+        ),
+    ],
+    ids=["covariance-below-its-floor", "gram-below-its-floor"],
+)
+def test_rejected_universes_keep_their_code_message_and_exit_status(
+    capsys, tmp_path, mu, sigma, message
+):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps({"kind": "universe", "mu": mu, "sigma": sigma}))
+    code, out, err = run_cli(capsys, "frontier", "--input", str(path))
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert (report["code"], report["message"]) == ("not_positive_definite", message)
+    context = report["context"]
+    assert context["min_pivot"] < context["pivot_floor"]
+    if message.startswith("gram"):
+        # G's second pivot, sigma_22 + mu_2^2 - (mu_1 mu_2)^2 / (sigma_11 + mu_1^2),
+        # exact for the float inputs: G is never factored, so the pivot is
+        # not lost to the rounding of sigma + mu mu^T.
+        (s11, _), (_, s22) = [[Fraction(s) for s in row] for row in sigma]
+        m1, m2 = map(Fraction, mu)
+        exact = s22 + m2 * m2 - (m1 * m2) ** 2 / (s11 + m1 * m1)
+        assert abs(Fraction(context["min_pivot"]) - exact) <= 1e-12 * exact
 
 
 def test_well_formed_sequence_market_is_accepted(capsys, tmp_path):

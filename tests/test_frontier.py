@@ -21,6 +21,7 @@ from hrfrontier import (
     gram_from_scenarios,
     hj_bounds,
     kernel_frontier,
+    market_from_json,
     multiperiod_frontier,
     propagate,
     special_portfolios,
@@ -184,6 +185,37 @@ def test_small_zero_cost_ratio_keeps_its_digits():
     assert worst <= 1e-11
 
 
+@pytest.mark.parametrize(
+    ("n", "rank", "ridge", "mu_scale", "gate"),
+    [(20, 10, 2.0**-6, 30.0, 2e-14), (8, 4, 2.0**-30, 1.0, 5e-8)],
+    ids=["means-swamp-covariance", "near-singular-covariance"],
+)
+def test_universe_ratios_keep_their_digits_on_dyadic_inputs(n, rank, ridge, mu_scale, gate):
+    # Dyadic inputs are exact in floats, so the whole error is the solve's.
+    # A solve on G's own factor loses the covariance under mu mu^T and errs
+    # by up to 3.7e-11 and 3.8e-7 on these seeds; on the covariance factor
+    # the worst is 6.7e-15 and 1.9e-8, and each gate is twice that, rounded up.
+    worst = 0.0
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        factor = rng.integers(-4, 5, (n, rank))
+        sigma = factor @ factor.T / 64 + ridge * np.eye(n)
+        mu = mu_scale * (1.0 + rng.integers(-4, 9, n) / 8)
+        exact_mu = [Fraction(m) for m in mu]
+        gram = [
+            [Fraction(s) + a * b for s, b in zip(row, exact_mu)]
+            for row, a in zip(sigma.tolist(), exact_mu)
+        ]
+        exact = exact_one_period_oracle(gram, exact_mu, [1] * n)
+        sp = special_portfolios(
+            market_from_json({"kind": "universe", "mu": mu.tolist(), "sigma": sigma.tolist()})
+        )
+        for name in ("omega_sq_y", "mu_y", "hr_sq_y", "hr_sq_x"):
+            error = abs(Fraction(getattr(sp, name)) - exact[name]) / abs(exact[name])
+            worst = max(worst, float(error))
+    assert worst <= gate
+
+
 def test_arbitrage_detected_in_hand_built_market():
     market = GramMarket(
         gram=np.eye(2), means=np.array([0.0, 1.0]), prices=np.array([1.0, 0.0])
@@ -218,12 +250,16 @@ def test_feasibility_check_agrees_with_the_variance_clamp():
     assert outcomes == {"rejected", "solved"}
 
 
-def _cholesky_calls(monkeypatch) -> list:
+def _cholesky_calls(monkeypatch, arguments: list | None = None) -> list:
+    """Shapes of the ``np.linalg.cholesky`` calls; copies of the matrices go
+    to ``arguments`` when it is given."""
     calls = []
     cholesky = np.linalg.cholesky
 
     def counting_cholesky(a):
         calls.append(a.shape)
+        if arguments is not None:
+            arguments.append(np.array(a))
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
@@ -252,6 +288,22 @@ class TestSingleSolve:
         calls = _cholesky_calls(monkeypatch)
         _statewise_pipeline(random_sequence_market(np.random.default_rng(52), 2))
         assert calls == [(2, 2)]
+
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_universe_pipeline_factorizes_the_covariance_once(self, monkeypatch, n):
+        # G = Σ + μμᵀ is solved on Σ's factor; G itself is never factored.
+        arguments: list = []
+        calls = _cholesky_calls(monkeypatch, arguments)
+        rng = np.random.default_rng(53)
+        factor = rng.standard_normal((n, n + 2))
+        sigma = factor @ factor.T / (n + 2) + 0.05 * np.eye(n)
+        data = {"kind": "universe", "mu": rng.uniform(0.5, 1.5, n).tolist(), "sigma": sigma.tolist()}
+        market = market_from_json(data)
+        sp = special_portfolios(market)
+        hj_bounds(market)
+        propagate(sp, 3)
+        assert calls == [(n, n)]
+        assert np.array_equal(arguments[0], sigma)
 
     def test_memoized_weights_are_read_only(self, benchmark_market):
         sp = special_portfolios(benchmark_market)
