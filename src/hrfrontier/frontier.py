@@ -106,24 +106,16 @@ class FrontierCoefficients:
 
     mu_omega: Parabola | None
     mu_sigma: Parabola | None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.mu_omega is None
 
     def to_dict(self) -> dict:
-        if self.degenerate:
-            return {"degenerate": True, "mu_omega": None, "mu_sigma": None}
-        assert self.mu_omega is not None and self.mu_sigma is not None
         return {
-            "degenerate": False,
-            "mu_omega": {
-                "level": self.mu_omega.level,
-                "curvature": self.mu_omega.curvature,
-                "center": self.mu_omega.center,
-            },
-            "mu_sigma": {
-                "level": self.mu_sigma.level,
-                "curvature": self.mu_sigma.curvature,
-                "center": self.mu_sigma.center,
-            },
+            "degenerate": self.degenerate,
+            "mu_omega": None if self.degenerate else self.mu_omega._asdict(),
+            "mu_sigma": None if self.degenerate else self.mu_sigma._asdict(),
         }
 
 
@@ -279,7 +271,7 @@ def frontier_coefficients(stats: SpecialPortfolios | MultiperiodStats) -> Fronti
     degenerate, with no parabolas, when x is the null portfolio."""
     hr_sq_x = stats.hr_sq_x
     if hr_sq_x <= DEGENERATE_X_TOL:
-        return FrontierCoefficients(mu_omega=None, mu_sigma=None, degenerate=True)
+        return FrontierCoefficients(mu_omega=None, mu_sigma=None)
     mu_z, sigma_sq_z = _z_stats(stats.mu_y, stats.omega_sq_y, stats.hr_sq_y, hr_sq_x, stats.slack)
     mu_omega = Parabola(level=stats.omega_sq_y, curvature=1.0 / hr_sq_x, center=stats.mu_y)
     mu_sigma = Parabola(level=sigma_sq_z, curvature=1.0 / hr_sq_x - 1.0, center=mu_z)
@@ -296,11 +288,10 @@ def frontier_points(
     squared norm leaves the floating-point range is invalid input.  Either
     failure is raised for the first such mean of the grid.
     """
-    if coefficients.degenerate or coefficients.mu_omega is None:
+    if coefficients.degenerate:
         raise DegenerateFrontierError(
             "degenerate frontier has no parabola to evaluate"
         )
-    assert coefficients.mu_sigma is not None
     mu = np.array(mu_grid, dtype=float)
     with np.errstate(all="ignore"):  # overflow is rejected below, point by point
         omega_sq = coefficients.mu_omega(mu)

@@ -15,7 +15,8 @@ built-in verification.
 
 Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the same
 utility; ``monotone_hj_bound`` solves that concave program exactly with an
-active-set Newton method and an exact line search along each step.
+active-set Newton method and an exact line search along each step, which
+bisects the kinks of the slope in the same way.
 """
 
 from __future__ import annotations
@@ -208,41 +209,31 @@ class MonotoneBoundReport:
 
 def _line_max(q: np.ndarray, x: np.ndarray, dx: np.ndarray) -> float:
     """Maximizer over ``t`` in [0, 1] of the concave, piecewise quadratic
-    ``E[u(x + t dx)]``, whose slope has a kink where a state crosses 1."""
+    ``E[u(x + t dx)]``, whose slope ``E[dx (1 - x - t dx)^+]`` has a kink
+    where a state crosses 1."""
     slack = 1.0 - x
-    below = slack > 0.0
-    cross = np.nonzero(np.where(below, dx > 0.0, dx < 0.0))[0]
-    at = slack[cross] / dx[cross]
-    order = np.argsort(at)[: np.count_nonzero(at < 1.0)]
-    cross, at = cross[order], at[order]
-    # Up to the k-th crossing the slope is lin[k] - t * quad[k], summed over
-    # the states below 1 there: those below at the start that have not
-    # crossed yet and those above that have.  Each segment is summed afresh
-    # rather than by adding and removing crossings, and the slope at a
-    # crossing leaves out the states crossing right there (their terms
-    # vanish), so a state that crosses early cannot swamp the ones after it.
     q_dx = q * dx
-    terms = np.array((q_dx * slack, q_dx * dx))
-    crossing = terms[:, cross]
-    leave = np.where(below[cross], crossing, 0.0)
-    sums = np.zeros((4, len(cross) + 1))
-    sums[:2, 1:] = leave[:, ::-1]
-    sums[2:, 1:] = crossing - leave
-    sums = sums.cumsum(axis=1)
-    later, earlier = sums[:2, ::-1], sums[2:]
-    stays = below.copy()
-    stays[cross] = False
-    base = terms[:, stays].sum(axis=1, keepdims=True)
-    ends = np.concatenate((at, [1.0]))
-    first = at.searchsorted(ends, "left")
-    before = base + earlier[:, first]
-    lin, quad = before + later[:, first]
-    lin_end, quad_end = before + later[:, at.searchsorted(ends, "right")]
-    turned = lin_end - ends * quad_end <= 0.0
-    if not turned.any():
+    with np.errstate(all="ignore"):  # states that never cross give no kink in (0, 1)
+        kinks = slack / dx
+    ends = [*sorted(set(kinks[(kinks > 0.0) & (kinks < 1.0)].tolist())), 1.0]
+
+    # Bisect the kinks for the first end where the slope has turned
+    # nonpositive, each slope summed afresh and exactly: a state on its kink
+    # adds a term of about zero, so it cannot swamp the others.
+    def turned(t: float) -> bool:
+        (slope,) = fsum_rows((q_dx * np.maximum(slack - t * dx, 0.0))[None])
+        return slope <= 0.0
+
+    j = bisect.bisect_left(ends, True, key=turned)
+    if j == len(ends):
         return 1.0
-    k = int(np.argmax(turned))
-    return float(lin[k] / quad[k]) if lin[k] > 0.0 else 0.0
+    # Within the segment ending there the slope is lin - t * quad, summed
+    # over the states below 1 at its midpoint; where it is flat, its start
+    # is a maximizer.
+    start = ends[j - 1] if j else 0.0
+    kept = slack > 0.5 * (start + ends[j]) * dx
+    lin, quad = fsum_rows(np.array((q_dx * slack, q_dx * dx))[:, kept])
+    return lin / quad if lin > 0.0 else start
 
 
 def _sup_zero_cost_mhr_sq(q: np.ndarray, zero_cost: np.ndarray) -> float:
@@ -271,14 +262,16 @@ def _sup_zero_cost_mhr_sq(q: np.ndarray, zero_cost: np.ndarray) -> float:
         x = x + _line_max(q, x, dx) * dx
     else:
         raise InternalInvariantError("active-set Newton did not settle")
-    sup_sq = 2.0 * float(q @ monotonized_utility(x))
     m_plus = np.maximum(1.0 - x, 0.0)
-    foc = float(np.abs((q * m_plus) @ zero_cost).max())
+    q_m = q * m_plus
+    utility, mean, second = fsum_rows(np.array((q * monotonized_utility(x), q_m, q_m * m_plus)))
+    sup_sq = 2.0 * utility
+    foc = float(np.abs(q_m @ zero_cost).max())
     if foc > FOC_TOL * max(1.0, float(np.abs(zero_cost).max())):
         raise InternalInvariantError(
             "first-order condition violated at the zero-cost optimum", residual=foc
         )
-    gap = sup_sq - (1.0 - float(q @ m_plus) ** 2 / float(q @ (m_plus * m_plus)))
+    gap = sup_sq - (1.0 - mean * mean / second)
     if abs(gap) > 1e-12:
         raise InternalInvariantError("duality gap at the zero-cost optimum", gap=gap)
     return sup_sq

@@ -10,6 +10,7 @@ import pytest
 from hrfrontier import (
     ArbitrageError,
     DegenerateFrontierError,
+    FrontierCoefficients,
     GramMarket,
     InvalidInputError,
     Parabola,
@@ -101,6 +102,11 @@ class TestRiskFreeMarket:
         assert coeffs.degenerate
         with pytest.raises(DegenerateFrontierError):
             frontier_points(coeffs, [1.0])
+
+    def test_coefficients_without_parabolas_are_degenerate(self):
+        coeffs = FrontierCoefficients(mu_omega=None, mu_sigma=None)
+        assert coeffs.degenerate
+        assert coeffs.to_dict() == {"degenerate": True, "mu_omega": None, "mu_sigma": None}
 
 
 class TestOracles:

@@ -270,9 +270,10 @@ def test_sharpe_identity(pay):
     if ratios.variance < 1e-6 * ratios.second_moment:
         return  # near risk-free: the identity is ill-conditioned in floats
     assert ratios.sharpe is not None
-    lhs = 1.0 + ratios.sharpe**2
-    rhs = 1.0 / (1.0 - ratios.hansen**2)
-    assert lhs == pytest.approx(rhs, rel=1e-10)
+    # HR^2 (1 + SR^2) = SR^2: unlike 1/(1 - HR^2), this form does not amplify
+    # rounding by second/variance.
+    hr_sq, sr_sq = ratios.hansen**2, ratios.sharpe**2
+    assert hr_sq * (1.0 + sr_sq) == pytest.approx(sr_sq, rel=1e-10)
 
 
 def _row_sums_case(name: str, length: int) -> np.ndarray:
