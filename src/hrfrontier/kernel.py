@@ -187,7 +187,7 @@ def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
     """
     _require_scenarios(market, "kernel diagnostics")
     q = market.state_probabilities
-    if not np.array_equal(kernel.probabilities, q):
+    if kernel.probabilities is not q and not np.array_equal(kernel.probabilities, q):
         raise StateSpaceMismatchError("kernel is not defined on the market's state space")
     implied = (q * kernel.values) @ market.scenario_values
     pricing_error = float(np.linalg.norm(implied - market.prices))

@@ -160,8 +160,8 @@ def gram_from_scenarios(
     if not basis:
         raise InvalidInputError("scenario basis is empty")
     q = basis[0].probabilities
-    probs = [b.probabilities for b in basis]
-    if any(p.shape != q.shape for p in probs) or (np.array(probs) != q).any():
+    probs = [b.probabilities for b in basis if b.probabilities is not q]
+    if probs and (any(p.shape != q.shape for p in probs) or (np.array(probs) != q).any()):
         raise StateSpaceMismatchError("scenario payoffs do not share one state space")
     return _scenario_market(q, np.column_stack([b.values for b in basis]), prices, {})
 

@@ -27,8 +27,8 @@ from .errors import InvalidInputError, OutOfRangeError, ZeroPayoffError
 #: Probabilities must sum to one within this absolute tolerance.
 PROBABILITY_SUM_TOL = 1e-12
 
-#: ``fsum_rows`` extracts inputs of at least this many terms; below it one
-#: ``math.fsum`` per row is faster.
+#: ``fsum_rows`` extracts inputs of at least this many terms unless their
+#: rows are short; below it one ``math.fsum`` per row is faster.
 EXTRACT_MIN_TERMS = 1024
 
 
@@ -66,6 +66,13 @@ def check_states(q: np.ndarray, values: np.ndarray) -> None:
         raise InvalidInputError(
             "state probability must lie in (0, 1]", state=i, probability=float(q[i])
         )
+    # Any order of float additions gives sum q_i (1 + d_i), |d_i| <= gamma_(S-1)
+    # (Higham 2002, §4.2), so q.sum() is within S * 2**-53 of the exact sum T
+    # when T is near one.  Rounding T adds at most 2**-53, the last 2**-53
+    # covers the rounding of this test's addition (s - 1 is exact), and so a
+    # sum that passes here passes the exactly rounded rule below.
+    if abs(float(q.sum()) - 1.0) + (len(q) + 2) * 2.0**-53 <= PROBABILITY_SUM_TOL:
+        return
     total = fsum_rows(q[None])[0]
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise InvalidInputError(
@@ -82,16 +89,19 @@ def moment_sums(q: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``q*v_i`` or ``(q*v_i)*v_j`` over the states; an entry beyond the float
     range is NaN or infinite.
     """
-    weighted = (q[:, None] * values).T
-    n = len(weighted)
+    n = values.shape[1]
     rows, cols = _upper_triangle(n)
-    # The rows of ``cross`` follow ``rows, cols``: asset i's group holds entries (i, i..n-1).
+    # The rows of ``cross`` follow ``rows, cols``: asset i's group holds entries
+    # (i, i..n-1).  Asset 0's group first holds the values as contiguous rows,
+    # one per asset, which every group multiplies; it is overwritten last.
     cross = np.empty((len(rows), len(q)))
-    start = 0
+    by_asset = cross[:n]
+    by_asset[...] = values.T
+    weighted = q * by_asset
     with np.errstate(over="ignore"):
-        for i in range(n):
-            np.multiply(weighted[i], values.T[i:], out=cross[start : start + n - i])
-            start += n - i
+        for i in reversed(range(n)):
+            start = i * n - i * (i - 1) // 2
+            np.multiply(weighted[i], by_asset[i:], out=cross[start : start + n - i])
     means, sums = _fsum_rows(weighted), _fsum_rows(cross)
     gram = np.empty((n, n))
     gram[rows, cols] = sums
@@ -111,14 +121,21 @@ def fsum_rows(terms: np.ndarray) -> list[float]:
     partial sums then rounds once, so the bits are those of ``math.fsum`` of
     the row, the path all other inputs take.  ``terms`` is left unchanged.
     """
-    if terms.size >= EXTRACT_MIN_TERMS:
+    if _extracts(terms):
         terms = np.array(terms, dtype=float)
     return _fsum_rows(terms)
 
 
+def _extracts(terms: np.ndarray) -> bool:
+    # Extraction costs about four terms more per row than math.fsum (the
+    # final sum of the row's partial sums); timed, it wins once the rows
+    # hold some 800 terms beyond that, so many short rows stay with math.fsum.
+    return terms.size >= EXTRACT_MIN_TERMS and terms.size - 4 * len(terms) >= 800
+
+
 def _fsum_rows(terms: np.ndarray) -> list[float]:
     """:func:`fsum_rows` of a float array, which long inputs overwrite."""
-    if terms.size >= EXTRACT_MIN_TERMS:
+    if _extracts(terms):
         bits = (terms.shape[1] + 1).bit_length()
         high = np.abs(terms)
         mag = high.max()
@@ -174,7 +191,7 @@ class ScenarioPayoff:
         With ``renormalize`` the probabilities are rescaled to sum to one,
         provided their raw sum is within ``sum_tol`` of one (never silently).
         """
-        q = np.array(probabilities, dtype=float)
+        q = np.asarray(probabilities, dtype=float)
         if renormalize:
             total = fsum_rows(q.reshape(1, -1))[0]
             if not total > 0 or abs(total - 1.0) > sum_tol:
@@ -254,9 +271,9 @@ def stats(payoff: ScenarioPayoff) -> RatioStats:
     if not vals.any():
         raise ZeroPayoffError("payoff is zero in every state")
     risk_free = vals.min() == vals.max()
-    means, gram = moment_sums(q, vals[:, None])
-    mean, second = float(means[0]), float(gram[0, 0])
     with np.errstate(over="ignore"):  # rejected below
+        weighted = q * vals
+        mean, second = _fsum_rows(np.array((weighted, weighted * vals)))
         dev = vals - mean
         variance = 0.0 if risk_free else fsum_rows((q * (dev * dev))[None])[0]
     if not (sys.float_info.min <= second < math.inf and (risk_free or 0.0 < variance < math.inf)):

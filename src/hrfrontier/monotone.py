@@ -144,7 +144,8 @@ def monotone_hansen_ratio(
     # subtracts nothing, and a loss that overflows still tips it the right way.
     gain_q, gain_w = q[w > 0.0], w[w > 0.0]
     loss_q, loss_w = q[w < 0.0], w[w < 0.0]
-    levels = sorted(set(gain_w.tolist()))  # np.unique would import numpy.ma
+    levels = np.sort(gain_w)  # np.unique would import numpy.ma
+    levels = levels[np.append(True, levels[1:] != levels[:-1])]
 
     def turned(level: float) -> bool:
         with np.errstate(over="ignore"):
@@ -157,7 +158,7 @@ def monotone_hansen_ratio(
     # test; the exact moments decide between that segment and its
     # neighbours.  A cap on a gain is stationary in both segments that share
     # it, and the larger ratio wins.
-    ends = [0.0, *levels, math.inf][max(j - 1, 0) : j + 3]
+    ends = np.concatenate(([0.0], levels, [math.inf]))[max(j - 1, 0) : j + 3].tolist()
     terms = q * w
     terms = np.array((terms, terms * w))
     found = [c for lo, hi in zip(ends, ends[1:]) if (c := _stationary_cap(q, w, terms, lo, hi))]

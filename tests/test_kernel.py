@@ -263,3 +263,13 @@ class TestRandomKernelSweep:
                 lhs = 1.0 / ratios.hansen**2 - 1.0
                 rhs = ratios.variance / ratios.mean**2
                 assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_kernel_payoffs_hold_the_market_probabilities():
+    market = random_scenario_market(np.random.default_rng(31), 40, 3)
+    q = market.state_probabilities
+    frontier = kernel_frontier(market)
+    kernels = [frontier.kernel(eta) for eta in (0.0, 1.5)]
+    for payoff in (frontier.base, frontier.direction, *kernels):
+        assert payoff.probabilities is q
+    assert check_kernel(kernels[0], market).passed

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from hrfrontier import (
     sr_to_hr,
     stats,
 )
-from hrfrontier.moments import EXTRACT_MIN_TERMS, fsum_rows, moment_sums, readonly
+from hrfrontier import moments
+from hrfrontier.moments import (
+    EXTRACT_MIN_TERMS,
+    PROBABILITY_SUM_TOL,
+    check_states,
+    fsum_rows,
+    moment_sums,
+    readonly,
+)
 from conftest import random_payoff, traced_peak
 
 # Three-state example payoffs: the second improves the first statewise yet
@@ -382,14 +391,16 @@ def test_moment_sums_are_one_fsum_per_entry(n):
     ):
         q = readonly(rng.dirichlet(np.ones(states)))
         values = readonly(rng.standard_normal((states, n)) * 10.0 ** rng.uniform(-3, 3, n))
-        means, gram = moment_sums(q, values)
         weighted = q[:, None] * values
         want = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
                 want[i, j] = want[j, i] = math.fsum((weighted[:, i] * values[:, j]).tolist())
-        assert np.array_equal(gram, want)
-        assert np.array_equal(means, [math.fsum(weighted[:, i].tolist()) for i in range(n)])
+        # C order, Fortran order and a transposed view: the same bits.
+        for layout in (values, np.asfortranarray(values), np.ascontiguousarray(values.T).T):
+            means, gram = moment_sums(q, layout)
+            assert np.array_equal(gram, want)
+            assert np.array_equal(means, [math.fsum(weighted[:, i].tolist()) for i in range(n)])
 
 
 def test_readonly_copies_all_but_an_owned_read_only_float_array():
@@ -412,3 +423,80 @@ def test_moment_sums_hold_one_cross_moment_buffer_and_its_extraction_buffer():
     q, values = readonly(rng.dirichlet(np.ones(states))), readonly(rng.standard_normal((states, n)))
     cross_bytes = n * (n + 1) // 2 * states * 8
     assert traced_peak(lambda: moment_sums(q, values)) <= 2.5 * cross_bytes
+
+
+def _check_outcome(q):
+    """``(code, message, context)`` of ``check_states``' rejection, or None."""
+    try:
+        check_states(q, np.zeros(len(q)))
+    except InvalidInputError as exc:
+        return exc.code, exc.message, exc.context
+    return None
+
+
+def _exactly_rounded_outcome(q):
+    """The rule on the exactly rounded sum that ``check_states`` must reproduce."""
+    total = math.fsum(q.tolist())
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        context = {"total": total, "tolerance": PROBABILITY_SUM_TOL}
+        return "invalid_input", "probabilities do not sum to one", context
+    return None
+
+
+@pytest.mark.parametrize("states", [2, 3, 16, 1023, 1024, 1400, 9005, 9006, 12000])
+def test_probability_check_decides_as_the_exactly_rounded_sum(states, monkeypatch):
+    # Exact sums k = 0..3 ulps either side of both edges 1 -+ PROBABILITY_SUM_TOL:
+    # dyadic states whose sum is exactly the target, and states drawn near it.
+    rng = np.random.default_rng(states)
+    outcomes = set()
+    for edge in (1.0 - PROBABILITY_SUM_TOL, 1.0 + PROBABILITY_SUM_TOL):
+        for k in range(-3, 4):
+            target = edge
+            for _ in range(abs(k)):
+                target = math.nextafter(target, math.copysign(math.inf, k))
+            head = rng.integers(2**38 // states, 2**40 // states, states - 1) * 2.0**-40
+            dyadic = rng.permuted(np.append(head, target - math.fsum(head.tolist())))
+            assert sum(map(Fraction, dyadic.tolist())) == Fraction(target)
+            drawn = rng.dirichlet(np.ones(states)) * target
+            for q in (dyadic, drawn):
+                outcome = _exactly_rounded_outcome(q)
+                assert _check_outcome(q) == outcome
+                outcomes.add(outcome is None)
+    assert outcomes == {True, False}
+    # A float sum of exactly one decides alone while the bound fits in the
+    # tolerance, that is up to 9,005 states; past that the exact rule runs.
+    head = rng.integers(2**38 // states, 2**40 // states, states - 1) * 2.0**-40
+    q = np.append(head, 1.0 - math.fsum(head.tolist()))  # every partial sum exact
+    assert float(q.sum()) == 1.0
+    calls = []
+    monkeypatch.setattr(moments, "fsum_rows", lambda terms: calls.append(1) or fsum_rows(terms))
+    assert _check_outcome(q) is None
+    assert bool(calls) == (states > 9005)
+
+
+def test_from_arrays_copies_a_writeable_q_and_keeps_an_owned_read_only_one():
+    q = np.array([0.25, 0.75])
+    payoff = ScenarioPayoff.from_arrays(q, [1.0, 2.0])
+    assert payoff.probabilities is not q and not np.shares_memory(payoff.probabilities, q)
+    assert q.flags.writeable and not payoff.probabilities.flags.writeable
+    owned = readonly(q)
+    assert ScenarioPayoff.from_arrays(owned, [1.0, 2.0]).probabilities is owned
+    view = owned[:]
+    assert ScenarioPayoff.from_arrays(view, [1.0, 2.0]).probabilities is not view
+
+
+@pytest.mark.parametrize("shape, extracted", [((65, 16), False), ((1, 1400), True)])
+def test_row_length_picks_the_engine_and_both_give_fsum_bits(shape, extracted, monkeypatch):
+    # 65 rows of 16 terms hold more than EXTRACT_MIN_TERMS terms, but so many
+    # short rows are faster one math.fsum each.
+    rng = np.random.default_rng(shape[0])
+    terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    want = [math.fsum(row) for row in terms.tolist()]
+    fsum, lengths = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda row: lengths.append(len(row)) or fsum(row))
+    for forced in (None, True, False):
+        if forced is not None:
+            monkeypatch.setattr(moments, "_extracts", lambda terms: forced)
+        lengths.clear()
+        assert fsum_rows(terms) == want
+        assert (shape[1] in lengths) != (extracted if forced is None else forced)
