@@ -40,8 +40,8 @@ ARBITRAGE_TOL = 1e-10
 #: Below this squared ratio the zero-cost side is treated as empty of
 #: opportunities and the frontier degenerates to a point per cost level.
 DEGENERATE_X_TOL = 1e-14
-#: Rounding allowed in the feasibility test: ``hr_sq_x + hr_sq_y`` may exceed
-#: one by this much, and the slack is then clamped to zero.
+#: Rounding allowed in the feasibility test of a market factored on G:
+#: ``hr_sq_x + hr_sq_y`` may exceed one by this much; the slack is clamped to 0.
 VARIANCE_CLAMP_TOL = 1e-12
 #: The frontier ratio bound is attained only when the mean of y is nonzero.
 MEAN_Y_ZERO_TOL = 1e-12
@@ -51,9 +51,9 @@ MEAN_Y_ZERO_TOL = 1e-12
 class SpecialPortfolios:
     """Weights and summary statistics of the portfolios y, x, and z.
 
-    ``slack`` is ``1 - hr_sq_x - hr_sq_y`` clamped at zero: the squared ratio
-    left to payoffs outside the market.  The statistics of z are formed from
-    it, so they never subtract the two ratios from one a second time.
+    ``slack`` is the squared ratio left to payoffs outside the market, clamped
+    at zero only on markets factored on G (a universe's is positive).  The
+    statistics of z are formed from it, never from ``1 - hr_sq_x``.
     """
 
     w_y: np.ndarray
@@ -177,50 +177,51 @@ def _solve(
     market: GramMarket, lower: np.ndarray, *, covariance: bool = False
 ) -> SpecialPortfolios:
     """``special_portfolios`` on ``lower``: the Cholesky factor ``L`` of
-    ``G``, or, with ``covariance``, the factor ``C`` of ``G - m m^T``.
+    ``G``, or, with ``covariance``, the factor ``C`` of a universe's
+    covariance ``G - m m^T`` (prices all one), in Merton's (1972) forms.
 
-    Then ``L = C M`` for the factor ``M`` of ``I + v v^T``, ``v = C^-1 m``
-    (Gill, Golub, Murray & Saunders 1974, method C1).  With ``t_0 = 1`` and
-    ``t_j = 1 + v_1^2 + ... + v_j^2``, ``M`` has the diagonal
-    ``sqrt(r_j) = sqrt(t_j / t_(j-1))`` and the entries
-    ``v_i v_j / sqrt(t_(j-1) t_j)`` below it.  So ``L``'s pivots are
-    ``(C_jj sqrt(r_j))^2``, tested as ``spd_factor`` tests a factor's, and
-    ``M^-1`` and ``M^-T`` are O(n) stages of cumulative sums between the
-    sweeps with ``C``; neither ``M`` nor ``L`` is formed.
+    The universe's sweep of ``[1 | m - lam]``, ``lam`` the average mean,
+    forms ``b_x = C^-1 m - mu_z c`` from centered means, so it keeps its
+    digits when the means are nearly equal.  With ``d = |b_x|^2`` and
+    ``t_n = 1 + |C^-1 m|^2 = 1 + d + |c|^2 mu_z^2``: ``hr_sq_x = d/(1+d)``,
+    ``mu_y = mu_z/(1+d)``, ``omega_sq_y = t_n/(|c|^2 (1+d))``, and the slack
+    ``1/t_n`` is positive, so none subtracts from one.  G's pivots are
+    ``(C_jj sqrt(t_j / t_(j-1)))^2`` for ``t_j = 1 + v_1^2 + ... + v_j^2``,
+    ``v = C^-1 m`` and ``t_0 = 1`` (Gill, Golub, Murray & Saunders 1974),
+    tested as ``spd_factor`` tests a factor's; G itself is never factored.
     """
+    lam = float(market.means.sum()) / len(market.means) if covariance else 0.0
     with np.errstate(all="ignore"):  # a solve beyond the float range is rejected below
         forward = triangular_solve(
-            lower, np.column_stack((market.prices, market.means)), lower=True
+            lower, np.column_stack((market.prices, market.means - lam)), lower=True
         )
         c, b = forward.T
         if covariance:
-            # c = C^-1 p and v = b = C^-1 m.  With s_j = v_1 c_1 + ... + v_(j-1) c_(j-1),
-            # M^-1 takes c to (c - v s / t_(j-1)) / sqrt(r) and v to v / sqrt(t_(j-1) t_j).
-            # sqrt(r_j) is hypot(1, v_j / sqrt(t_(j-1))), which stays finite
-            # (and the pivots with it) when v_j^2 or t_j overflows.
-            v = b
-            sums = np.zeros((len(v) + 1, 2))
-            (forward * v[:, None]).cumsum(0, out=sums[1:])
-            t_prev = 1.0 + sums[:-1, 1]
-            root_r, v_t = np.hypot(1.0, v / np.sqrt(t_prev)), v / t_prev
+            # sqrt(t_j / t_(j-1)) is hypot(1, v_j / sqrt(t_(j-1))), which stays
+            # finite (and the pivots with it) when v_j^2 or t_j overflows.
+            v = b + lam * c
+            t_prev = np.concatenate(([1.0], 1.0 + (v * v).cumsum()[:-1]))
+            root_r = np.hypot(1.0, v / np.sqrt(t_prev))
             check_pivots((lower.diagonal() * root_r) ** 2, market.gram)
-            c = (c - v_t * sums[:-1, 0]) / root_r
-            b = v_t / root_r
         c_sq = float(c @ c)
         if 0.0 < c_sq < math.inf:
-            omega_sq_y = 1.0 / c_sq
-            mu_y = float(b @ c) * omega_sq_y
+            inv = 1.0 / c_sq
+            shift = float(b @ c) * inv
+            b_x = b - shift * c
+            d = float(b_x @ b_x)
+            if covariance:
+                mu_z = shift + lam
+                t_n = 1.0 + d + c_sq * mu_z * mu_z
+                hr_sq_x, slack = d / (1.0 + d), 1.0 / t_n
+                mu_y, omega_sq_y = mu_z / (1.0 + d), t_n * inv / (1.0 + d)
+                b_x /= 1.0 + d
+                back = np.column_stack((inv * c - mu_z * b_x, b_x))
+            else:
+                omega_sq_y, mu_y, hr_sq_x = inv, shift, d
+                back = np.column_stack((omega_sq_y * c, b_x))
             hr_sq_y = mu_y * mu_y / omega_sq_y
-            b_x = b - mu_y * c
-            hr_sq_x = float(b_x @ b_x)
             # Finite ratios leave no inf or NaN in the weights they sum.
             solved = all(map(math.isfinite, (omega_sq_y, hr_sq_y, hr_sq_x)))
-            back = np.column_stack((omega_sq_y * c, b_x))
-            if covariance:
-                # M^-T: back / sqrt(r), less v_j times the sum over k > j of
-                # v_k back_k / t_(k-1).
-                back /= root_r[:, None]
-                back[:-1] -= v[:-1, None] * (v_t[:, None] * back)[:0:-1].cumsum(0)[::-1]
             w_y, w_x = triangular_solve(lower.T, back, lower=False).T
     if not (0.0 < c_sq < math.inf and solved):
         raise InvalidInputError("the market's solve leaves the floating-point range")
@@ -229,19 +230,18 @@ def _solve(
             "market admits a (numerically) riskless zero-cost profit",
             hr_sq_x=hr_sq_x,
         )
-    # The projection of the unit payoff onto the market has squared norm
-    # hr_sq_x + hr_sq_y, at most one; a hand-written Gram matrix can break
-    # that.  The test is on the ratios themselves, so it does not depend on
-    # the scale of the payoffs; within it the excess is rounding, and the
-    # slack is clamped at zero.
-    slack = 1.0 - hr_sq_x - hr_sq_y
-    if slack < -VARIANCE_CLAMP_TOL:
-        raise InvalidInputError(
-            "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
-            hr_sq_x=hr_sq_x,
-            hr_sq_y=hr_sq_y,
-        )
-    slack = max(0.0, slack)
+    if not covariance:
+        # hr_sq_x + hr_sq_y <= 1 in any payoff space, but a hand-written Gram
+        # matrix can break it.  An excess within the tolerance (on the ratios,
+        # whatever the payoffs' scale) is rounding; the slack is clamped at 0.
+        slack = 1.0 - hr_sq_x - hr_sq_y
+        if slack < -VARIANCE_CLAMP_TOL:
+            raise InvalidInputError(
+                "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
+                hr_sq_x=hr_sq_x,
+                hr_sq_y=hr_sq_y,
+            )
+        slack = max(0.0, slack)
     mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x, slack)
     w_z = w_y + mu_z * w_x
     for weights in (w_y, w_x, w_z):
@@ -323,7 +323,7 @@ def frontier_points(
 
 def check_hansen_bound(sp: SpecialPortfolios) -> HansenBoundReport:
     """Check ``hr_sq_x + hr_sq_y <= 1``; the slack is the squared ratio left
-    to payoffs outside the market, clamped at zero."""
+    to payoffs outside the market, clamped at zero on markets factored on G."""
     total = sp.hr_sq_x + sp.hr_sq_y
     return HansenBoundReport(
         hr_sq_x=sp.hr_sq_x,

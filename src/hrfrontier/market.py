@@ -136,8 +136,8 @@ class GramMarket:
 def gram_from_universe(universe: AssetUniverse) -> GramMarket:
     """Market of fully priced assets: Gram = covariance + outer(means).
 
-    Prices are all one, so portfolio cost equals the sum of weights.  The
-    market is solved on the covariance's factor, so G is never factored.
+    Prices are all one, so portfolio cost equals the sum of weights.  Solved
+    on the covariance's factor, G is never factored and the slack not clamped.
     """
     with np.errstate(over="ignore"):  # an infinite Gram matrix is rejected below
         gram = np.outer(universe.mean_returns, universe.mean_returns)

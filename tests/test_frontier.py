@@ -191,22 +191,47 @@ def test_small_zero_cost_ratio_keeps_its_digits():
     assert worst <= 1e-11
 
 
+def dyadic_universe(seed, n, rank, ridge, mu_scale, spread):
+    """Covariance and means of a universe whose inputs are exact in floats."""
+    rng = np.random.default_rng(seed)
+    factor = rng.integers(-4, 5, (n, rank))
+    sigma = factor @ factor.T / 64 + ridge * np.eye(n)
+    return sigma, mu_scale * (1.0 + rng.integers(-4, 9, n) * spread)
+
+
+# (n, rank, ridge, mu_scale, spread) of each set of dyadic universes.
+DYADIC_UNIVERSES = {
+    "means-swamp-covariance": (20, 10, 2.0**-6, 30.0, 2.0**-3),
+    "near-singular-covariance": (8, 4, 2.0**-30, 1.0, 2.0**-3),
+    "means-within-2^-20": (6, 6, 2.0**-6, 1.0, 2.0**-20),
+    "means-within-2^-35": (6, 6, 2.0**-6, 1.0, 2.0**-35),
+}
+
+
 @pytest.mark.parametrize(
-    ("n", "rank", "ridge", "mu_scale", "gate"),
-    [(20, 10, 2.0**-6, 30.0, 2e-14), (8, 4, 2.0**-30, 1.0, 5e-8)],
-    ids=["means-swamp-covariance", "near-singular-covariance"],
+    ("universes", "gate", "gates"),
+    [
+        ("means-swamp-covariance", 2e-14, (2e-14, 5e-15, 2e-14, 2e-14)),
+        ("near-singular-covariance", 5e-8, (5e-8, 2e-8, 5e-8, 1e-7)),
+        ("means-within-2^-20", 5e-15, (1e-14, 1e-15, 1e-14, 5e-15)),
+        ("means-within-2^-35", 2e-15, (1e-14, 1e-15, 1e-14, 5e-15)),
+    ],
+    ids=list(DYADIC_UNIVERSES),
 )
-def test_universe_ratios_keep_their_digits_on_dyadic_inputs(n, rank, ridge, mu_scale, gate):
+def test_universe_ratios_keep_their_digits_on_dyadic_inputs(universes, gate, gates):
     # Dyadic inputs are exact in floats, so the whole error is the solve's.
     # A solve on G's own factor loses the covariance under mu mu^T and errs
-    # by up to 3.7e-11 and 3.8e-7 on these seeds; on the covariance factor
-    # the worst is 6.7e-15 and 1.9e-8, and each gate is twice that, rounded up.
-    worst = 0.0
+    # by up to 3.7e-11 and 3.8e-7 on the first two sets; on the covariance
+    # factor the worst is 6.7e-15 and 1.9e-8, and each gate is twice that,
+    # rounded up to a 1-2-5 step.  So are the gates of the other sets and
+    # the gates of the slack, mu_z, sigma_sq_z and w_x (in that order).
+    # The slack as 1 - hr_sq_x - hr_sq_y erred by up to 3.8e-10 and 3.1e-6
+    # on the first two sets, and x from uncentered means by 2.3e-5 in
+    # hr_sq_x and 2.0e-5 in w_x when the means agree to 2^-35.
+    n = DYADIC_UNIVERSES[universes][0]
+    worst, worst_of = 0.0, dict.fromkeys(("slack", "mu_z", "sigma_sq_z", "w_x"), 0.0)
     for seed in range(5):
-        rng = np.random.default_rng(seed)
-        factor = rng.integers(-4, 5, (n, rank))
-        sigma = factor @ factor.T / 64 + ridge * np.eye(n)
-        mu = mu_scale * (1.0 + rng.integers(-4, 9, n) / 8)
+        sigma, mu = dyadic_universe(seed, *DYADIC_UNIVERSES[universes])
         exact_mu = [Fraction(m) for m in mu]
         gram = [
             [Fraction(s) + a * b for s, b in zip(row, exact_mu)]
@@ -219,7 +244,31 @@ def test_universe_ratios_keep_their_digits_on_dyadic_inputs(n, rank, ridge, mu_s
         for name in ("omega_sq_y", "mu_y", "hr_sq_y", "hr_sq_x"):
             error = abs(Fraction(getattr(sp, name)) - exact[name]) / abs(exact[name])
             worst = max(worst, float(error))
+        for name in ("slack", "mu_z", "sigma_sq_z"):
+            error = abs(Fraction(getattr(sp, name)) - exact[name]) / abs(exact[name])
+            worst_of[name] = max(worst_of[name], float(error))
+        error = max(abs(Fraction(w) - e) for w, e in zip(sp.w_x.tolist(), exact["w_x"]))
+        worst_of["w_x"] = max(worst_of["w_x"], float(error / max(map(abs, exact["w_x"]))))
     assert worst <= gate
+    assert all(w <= g for w, g in zip(worst_of.values(), gates)), worst_of
+
+
+@pytest.mark.parametrize("universes", list(DYADIC_UNIVERSES))
+def test_dyadic_universes_carry_a_positive_slack_at_every_horizon(universes):
+    # A universe's slack is 1/(1 + |C^-1 m|^2), not 1 - hr_sq_x - hr_sq_y, so
+    # it is positive and the three ratios sum to one to within a few ulps
+    # (at most 4 * 2^-53 over these 120 universes).
+    worst = 0.0
+    for seed in range(30):
+        sigma, mu = dyadic_universe(seed, *DYADIC_UNIVERSES[universes])
+        sp = special_portfolios(
+            market_from_json({"kind": "universe", "mu": mu.tolist(), "sigma": sigma.tolist()})
+        )
+        assert sp.slack > 0.0
+        worst = max(worst, abs(sp.hr_sq_x + sp.hr_sq_y + sp.slack - 1.0))
+        for horizon in (1, 4, 12):
+            propagate(sp, horizon)  # MultiperiodStats checks the sum to 1e-10
+    assert worst <= 1e-15
 
 
 def test_arbitrage_detected_in_hand_built_market():
