@@ -8,34 +8,26 @@ round-trip float formatting.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal invariant
 violation, unexpected error (``internal_error``) or a failed ``verify``.
+
+The module imports only the standard library and ``errors``; each command
+imports what it uses, so numpy loads after ``run`` has set up the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
+import os
 import sys
-import traceback
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
-from . import benchmark
 from .errors import HRFrontierError, InternalInvariantError, InvalidInputError
-from .frontier import (
-    FrontierCoefficients,
-    check_hansen_bound,
-    frontier_coefficients,
-    frontier_points,
-    special_portfolios,
-)
-from .kernel import hj_bounds
-from .market import market_from_json
-from .moments import ScenarioPayoff
-from .monotone import monotone_hansen_ratio
-from .multiperiod import propagate
+
+if TYPE_CHECKING:
+    from .frontier import FrontierCoefficients
 
 
 class _UsageError(Exception):
@@ -106,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--rel-tol",
         type=float,
-        default=benchmark.DEFAULT_REL_TOL,
         help="relative tolerance per value (default 1e-5)",
     )
 
@@ -129,6 +120,8 @@ def _grid_points(text: str | None) -> list[float] | None:
         raise InvalidInputError("grid upper bound must exceed the lower bound")
     if not math.isfinite(hi - lo):
         raise InvalidInputError("grid width leaves the floating-point range", grid=text)
+    import numpy as np
+
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
@@ -160,6 +153,8 @@ def _write_points(coefficients: FrontierCoefficients, args: argparse.Namespace) 
         return
     if args.grid is None:
         raise InvalidInputError("--points-csv needs --grid MIN:MAX:COUNT")
+    from .frontier import frontier_points
+
     points = frontier_points(coefficients, args.grid)
     with open(args.points_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -169,6 +164,9 @@ def _write_points(coefficients: FrontierCoefficients, args: argparse.Namespace) 
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
+    from .frontier import check_hansen_bound, frontier_coefficients, special_portfolios
+    from .market import market_from_json
+
     market = market_from_json(args.input)
     sp = special_portfolios(market)
     coeffs = frontier_coefficients(sp)
@@ -188,6 +186,10 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiperiod(args: argparse.Namespace) -> int:
+    from .frontier import frontier_coefficients, special_portfolios
+    from .market import market_from_json
+    from .multiperiod import propagate
+
     market = market_from_json(args.input)
     sp = special_portfolios(market)
     stats_n = propagate(sp, args.periods)
@@ -203,6 +205,9 @@ def _cmd_multiperiod(args: argparse.Namespace) -> int:
 
 
 def _cmd_mhr(args: argparse.Namespace) -> int:
+    from .moments import ScenarioPayoff
+    from .monotone import monotone_hansen_ratio
+
     payoff = ScenarioPayoff.from_csv(
         args.input,
         renormalize=args.renormalize,
@@ -214,13 +219,19 @@ def _cmd_mhr(args: argparse.Namespace) -> int:
 
 
 def _cmd_hj(args: argparse.Namespace) -> int:
+    from .kernel import hj_bounds
+    from .market import market_from_json
+
     market = market_from_json(args.input)
     _emit(hj_bounds(market).to_dict(), args.output)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = benchmark.verification_report(rel_tol=args.rel_tol)
+    from . import benchmark
+
+    rel_tol = benchmark.DEFAULT_REL_TOL if args.rel_tol is None else args.rel_tol
+    report = benchmark.verification_report(rel_tol=rel_tol)
     _emit(report, args.output)
     return 0 if report["all_pass"] else 2
 
@@ -262,11 +273,34 @@ def main(argv: Sequence[str] | None = None) -> int:
         _error_json("io_error", str(exc), {})
         return 1
     except Exception as exc:  # a bug: reported as one line of JSON, with where it arose
+        import traceback
+
         frames = traceback.extract_tb(exc.__traceback__)
         frames = [f"{frame.filename}:{frame.lineno} {frame.name}" for frame in frames]
         _error_json("internal_error", f"{type(exc).__name__}: {exc}", {"traceback": frames})
         return 2
 
 
+def run() -> int:
+    """``main`` as a program in a process of its own: ``python -m
+    hrfrontier.cli`` and the ``hrfrontier`` script.
+
+    OpenBLAS reads its thread count once, when numpy loads; with more than
+    one thread it splits the products of markets of n >= 128, which changes
+    their bits, so this pins one thread first.  The cyclic collector would
+    run passes during numpy's import and sweep every object at exit, which
+    skips only frozen ones; a one-shot run has no cycles worth that cost.  A
+    process that goes on after the command calls ``main``, which changes
+    neither setting.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

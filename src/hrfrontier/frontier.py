@@ -18,7 +18,6 @@ frontier as a parabola in both (mean, L2-norm) and (mean, std) coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -47,8 +46,7 @@ VARIANCE_CLAMP_TOL = 1e-12
 MEAN_Y_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpecialPortfolios:
+class SpecialPortfolios(NamedTuple):
     """Weights and summary statistics of the portfolios y, x, and z.
 
     ``slack`` is the squared ratio left to payoffs outside the market, clamped
@@ -96,8 +94,7 @@ class Parabola(NamedTuple):
         return self.level + self.curvature * (d * d)
 
 
-@dataclass(frozen=True)
-class FrontierCoefficients:
+class FrontierCoefficients(NamedTuple):
     """Frontier parabolas in (mean, second-moment) and (mean, variance) form.
 
     ``degenerate`` markets (no zero-cost opportunity) have no parabolas: the
@@ -125,8 +122,7 @@ class FrontierPoint(NamedTuple):
     sigma: float
 
 
-@dataclass(frozen=True)
-class HansenBoundReport:
+class HansenBoundReport(NamedTuple):
     """Sum of the squared ratios of x and y against the hard bound of one."""
 
     hr_sq_x: float

@@ -10,7 +10,7 @@ restates the classical variance-over-mean-squared lower bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ PRICING_TOL = 1e-8
 ZERO_RESIDUAL_TOL = 1e-20
 
 
-@dataclass(frozen=True)
-class KernelFrontier:
+class KernelFrontier(NamedTuple):
     """One-parameter family of minimum-norm pricing kernels.
 
     ``kernel(eta) = base + eta * direction`` prices the market for every real
@@ -52,8 +51,7 @@ class KernelFrontier:
         )
 
 
-@dataclass(frozen=True)
-class KernelCheck:
+class KernelCheck(NamedTuple):
     """Diagnostics for one candidate kernel against both bounds.
 
     ``var_over_mean_sq`` and ``variance_ok`` are ``None`` when the kernel has
@@ -82,8 +80,7 @@ class KernelCheck:
         }
 
 
-@dataclass(frozen=True)
-class HJBoundReport:
+class HJBoundReport(NamedTuple):
     """Kernel restrictions implied by the market's zero-cost opportunities."""
 
     hr_bound: float

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -32,7 +31,7 @@ from .errors import (
     StateSpaceMismatchError,
 )
 from .frontier import _solve, special_portfolios
-from .moments import ScenarioPayoff, check_states, moment_sums, readonly
+from .moments import Frozen, FrozenValue, ScenarioPayoff, check_states, moment_sums, readonly
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
@@ -47,21 +46,14 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
             raise InvalidInputError(f"{name} is not symmetric")
 
 
-@dataclass(frozen=True, eq=False)
-class AssetUniverse:
+class AssetUniverse(Frozen):
     """Asset returns summarized by their means and covariance matrix
     (compared and hashed by identity, like a market).  The covariance's
     checked Cholesky factor is kept, read-only, for the market's solve."""
 
-    mean_returns: np.ndarray
-    covariance: np.ndarray
-    _factor: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        mu = readonly(np.atleast_1d(self.mean_returns))
-        cov = readonly(np.atleast_2d(self.covariance))
-        object.__setattr__(self, "mean_returns", mu)
-        object.__setattr__(self, "covariance", cov)
+    def __init__(self, mean_returns: np.ndarray, covariance: np.ndarray) -> None:
+        mu = readonly(np.atleast_1d(mean_returns))
+        cov = readonly(np.atleast_2d(covariance))
         n = mu.shape[0]
         if n < 1 or mu.ndim != 1:
             raise InvalidInputError("mean returns must be a nonempty vector")
@@ -74,15 +66,14 @@ class AssetUniverse:
         _check_symmetric(cov, "covariance matrix")
         factor = spd_factor(cov, name="covariance matrix")
         factor.flags.writeable = False
-        object.__setattr__(self, "_factor", factor)
+        vars(self).update(mean_returns=mu, covariance=cov, _factor=factor)
 
     @property
     def n(self) -> int:
         return self.mean_returns.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GramMarket:
+class GramMarket(Frozen):
     """Market description: Gram matrix, mean functional, and prices.
 
     A market built by ``gram_from_scenarios`` or ``gram_from_sequence_space``
@@ -96,21 +87,24 @@ class GramMarket:
     Markets are compared and hashed by identity, not by their arrays.
     """
 
-    gram: np.ndarray
-    means: np.ndarray
-    prices: np.ndarray
-    meta: Mapping[str, float] = field(default_factory=dict)
-    state_probabilities: np.ndarray | None = field(default=None, init=False)
-    scenario_values: np.ndarray | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        gram = readonly(np.atleast_2d(self.gram))
-        means = readonly(np.atleast_1d(self.means))
-        prices = readonly(np.atleast_1d(self.prices))
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+    def __init__(
+        self,
+        gram: np.ndarray,
+        means: np.ndarray,
+        prices: np.ndarray,
+        meta: Mapping[str, float] = MappingProxyType({}),
+    ) -> None:
+        gram = readonly(np.atleast_2d(gram))
+        means = readonly(np.atleast_1d(means))
+        prices = readonly(np.atleast_1d(prices))
+        vars(self).update(
+            gram=gram,
+            means=means,
+            prices=prices,
+            meta=MappingProxyType(dict(meta)),
+            state_probabilities=None,
+            scenario_values=None,
+        )
         n = gram.shape[0]
         if gram.shape != (n, n) or n < 1:
             raise InvalidInputError("gram matrix must be square and nonempty")
@@ -177,43 +171,35 @@ def _scenario_market(
     means, gram = moment_sums(q, values)
     market = GramMarket(gram, means, prices, meta=meta)
     check_states(q, values)
-    object.__setattr__(market, "state_probabilities", q)
-    object.__setattr__(market, "scenario_values", values)
+    vars(market).update(state_probabilities=q, scenario_values=values)
     special_portfolios(market)
     return market
 
 
-@dataclass(frozen=True, eq=False)
-class DatedFlows:
+class DatedFlows(Frozen):
     """Cash flows of every spanning element at one date, on a shared state space:
     read-only ``probabilities`` and ``values`` (one row per element)."""
 
-    date: int
-    probabilities: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.date, int) or self.date < 1:
-            raise InvalidHorizonError("dates are integers starting at 1", date=self.date)
+    def __init__(self, date: int, probabilities: np.ndarray, values: np.ndarray) -> None:
+        if not isinstance(date, int) or date < 1:
+            raise InvalidHorizonError("dates are integers starting at 1", date=date)
         try:
-            q, vals = readonly(self.probabilities), readonly(self.values)
+            q, vals = readonly(probabilities), readonly(values)
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(
-                "cash flows must be numeric arrays", date=self.date, error=str(exc)
+                "cash flows must be numeric arrays", date=date, error=str(exc)
             ) from None
-        object.__setattr__(self, "probabilities", q)
-        object.__setattr__(self, "values", vals)
+        vars(self).update(date=date, probabilities=q, values=vals)
         if q.ndim != 1 or vals.ndim != 2 or not len(vals):
-            raise InvalidInputError("cash flows need one row per element", date=self.date)
+            raise InvalidInputError("cash flows need one row per element", date=date)
         try:
             check_states(q, vals.T)
         except InvalidInputError as exc:
-            exc.context["date"] = self.date
+            exc.context["date"] = date
             raise
 
 
-@dataclass(frozen=True)
-class SequenceSpaceSpec:
+class SequenceSpaceSpec(FrozenValue):
     """Discounted sequence space of dated random cash flows.
 
     The inner product of two cash-flow sequences is
@@ -221,25 +207,21 @@ class SequenceSpaceSpec:
     Dates not listed contribute nothing.
     """
 
-    beta: float
-    horizon: int
-    flows: tuple[DatedFlows, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise InvalidBetaError("discount parameter must lie in (0, 1)", beta=self.beta)
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise InvalidHorizonError("horizon must be an integer >= 1", horizon=self.horizon)
-        flows = tuple(self.flows)
-        object.__setattr__(self, "flows", flows)
+    def __init__(self, beta: float, horizon: int, flows: Sequence[DatedFlows]) -> None:
+        if not 0.0 < beta < 1.0:
+            raise InvalidBetaError("discount parameter must lie in (0, 1)", beta=beta)
+        if not isinstance(horizon, int) or horizon < 1:
+            raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
+        flows = tuple(flows)
+        vars(self).update(beta=beta, horizon=horizon, flows=flows)
         if not flows:
             raise InvalidInputError("sequence spec lists no cash flows")
         n = len(flows[0].values)
         seen: set[int] = set()
         for flow in flows:
-            if flow.date > self.horizon:
+            if flow.date > horizon:
                 raise InvalidInputError(
-                    "cash flow dated beyond the horizon", date=flow.date, horizon=self.horizon
+                    "cash flow dated beyond the horizon", date=flow.date, horizon=horizon
                 )
             if flow.date in seen:
                 raise InvalidInputError("duplicate cash-flow date", date=flow.date)

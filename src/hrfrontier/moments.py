@@ -16,9 +16,8 @@ import csv
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,18 +160,45 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n)
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioPayoff:
+class Frozen:
+    """Base of the checked types: ``__init__`` checks its arguments and stores
+    the fields in the instance's ``__dict__``, and no attribute is set or
+    deleted after that.  Instances compare and hash by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = (f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class FrozenValue(Frozen):
+    """A :class:`Frozen` type compared and hashed by its fields' values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+
+class ScenarioPayoff(Frozen):
     """Immutable finite payoff distribution: read-only ``probabilities`` and
     ``values`` arrays, one entry per state."""
 
-    probabilities: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        q, values = readonly(self.probabilities), readonly(self.values)
-        object.__setattr__(self, "probabilities", q)
-        object.__setattr__(self, "values", values)
+    def __init__(
+        self, probabilities: Sequence[float] | np.ndarray, values: Sequence[float] | np.ndarray
+    ) -> None:
+        q, values = readonly(probabilities), readonly(values)
+        vars(self).update(probabilities=q, values=values)
         if q.ndim != 1 or values.ndim != 1:
             raise InvalidInputError("probabilities and values must be vectors")
         check_states(q, values)
@@ -240,8 +266,7 @@ class ScenarioPayoff:
         return cls.from_arrays(probs, vals, renormalize=renormalize, sum_tol=sum_tol)
 
 
-@dataclass(frozen=True)
-class RatioStats:
+class RatioStats(NamedTuple):
     """Moment summary of a payoff.
 
     ``sharpe`` is ``None`` for a risk-free payoff with nonzero mean: the

@@ -25,6 +25,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ _NEWTON_STEPS = 50
 _KINK_TOL = 1e-12
 
 
+# A dataclass, unlike the other records: callers rebuild it with
+# ``dataclasses.replace``.
 @dataclass(frozen=True)
 class MonotoneResult:
     """Monotone ratio of a payoff with the optimal cap.
@@ -191,8 +194,7 @@ def monotone_hansen_ratio(
     )
 
 
-@dataclass(frozen=True)
-class MonotoneBoundReport:
+class MonotoneBoundReport(NamedTuple):
     """Kernel bound diagnostics under the nonnegativity constraint.
 
     ``sup_mhr_sq``/``sup_msr_sq`` are the exact suprema of the squared

@@ -11,7 +11,7 @@ for these formulas on small markets.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
 from .frontier import SpecialPortfolios, frontier_coefficients, special_portfolios
 from .kernel import _require_scenarios
 from .market import GramMarket
+from .moments import FrozenValue
 
 #: Hard cap on the number of scenario-tree leaves.
 LEAF_CAP = 100_000
@@ -31,64 +32,59 @@ LEAF_CAP = 100_000
 GEOMETRIC_SWITCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MultiperiodStats:
+class MultiperiodStats(FrozenValue):
     """Frontier statistics of the n-period dynamically rebalanced market.
 
     ``slack`` is the n-period ``1 - hr_sq_x - hr_sq_y``, carried rather than
     formed by subtraction (see :class:`SpecialPortfolios`).
     """
 
-    horizon: int
-    mu_y: float
-    omega_sq_y: float
-    hr_sq_y: float
-    hr_sq_x: float
-    slack: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.horizon, int) or self.horizon < 1:
-            raise InvalidHorizonError(
-                "horizon must be an integer >= 1", horizon=self.horizon
-            )
-        if not (self.omega_sq_y > 0.0 and self.slack >= 0.0):
+    def __init__(
+        self,
+        horizon: int,
+        mu_y: float,
+        omega_sq_y: float,
+        hr_sq_y: float,
+        hr_sq_x: float,
+        slack: float,
+    ) -> None:
+        if not isinstance(horizon, int) or horizon < 1:
+            raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
+        if not (omega_sq_y > 0.0 and slack >= 0.0):
             raise InvalidInputError(
                 "n-period statistics need omega_sq_y > 0 and slack >= 0",
-                omega_sq_y=self.omega_sq_y,
-                slack=self.slack,
+                omega_sq_y=omega_sq_y,
+                slack=slack,
             )
         # A one-period excess over the bound, within rounding, compounds with
         # the horizon; past the bound's own tolerance it is the input's.
-        if self.hr_sq_x + self.hr_sq_y > 1.0 + 1e-10:
+        if hr_sq_x + hr_sq_y > 1.0 + 1e-10:
             raise InvalidInputError(
                 "n-period statistics violate the ratio bound",
-                horizon=self.horizon,
-                hr_sq_x=self.hr_sq_x,
-                hr_sq_y=self.hr_sq_y,
+                horizon=horizon,
+                hr_sq_x=hr_sq_x,
+                hr_sq_y=hr_sq_y,
             )
-        if abs(self.hr_sq_x + self.hr_sq_y + self.slack - 1.0) > 1e-10:
+        if abs(hr_sq_x + hr_sq_y + slack - 1.0) > 1e-10:
             raise InvalidInputError(
                 "n-period ratios and slack do not sum to one",
-                hr_sq_x=self.hr_sq_x,
-                hr_sq_y=self.hr_sq_y,
-                slack=self.slack,
+                hr_sq_x=hr_sq_x,
+                hr_sq_y=hr_sq_y,
+                slack=slack,
             )
-        if abs(self.hr_sq_y * self.omega_sq_y - self.mu_y**2) > 1e-10 * max(
-            1.0, self.omega_sq_y
-        ):
-            raise InternalInvariantError(
-                "inconsistent multiperiod ratio", hr_sq_y=self.hr_sq_y
-            )
+        if abs(hr_sq_y * omega_sq_y - mu_y**2) > 1e-10 * max(1.0, omega_sq_y):
+            raise InternalInvariantError("inconsistent multiperiod ratio", hr_sq_y=hr_sq_y)
+        vars(self).update(
+            horizon=horizon,
+            mu_y=mu_y,
+            omega_sq_y=omega_sq_y,
+            hr_sq_y=hr_sq_y,
+            hr_sq_x=hr_sq_x,
+            slack=slack,
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "mu_y": self.mu_y,
-            "omega_sq_y": self.omega_sq_y,
-            "hr_sq_y": self.hr_sq_y,
-            "hr_sq_x": self.hr_sq_x,
-            "slack": self.slack,
-        }
+        return dict(vars(self))
 
 
 def _ratio_geometric_sum(hr_sq_y: float, horizon: int) -> float:
@@ -129,8 +125,7 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
     )
 
 
-@dataclass(frozen=True)
-class ScenarioTree:
+class ScenarioTree(NamedTuple):
     """Full product tree of an IID one-period scenario market.
 
     Leaves enumerate state paths in lexicographic order (the first period's

@@ -192,8 +192,9 @@ def test_every_verify_row_is_within_1e13_of_its_exact_value():
 
 
 def test_every_verify_row_is_within_2e14_of_its_exact_value():
-    # The worst row is 7.8e-15 (multiperiod_sigma_sq_z), and a solve on G's
-    # own factor reaches 5.3e-14.  Rounding the decimal inputs to floats alone
+    # The worst row is 5.6e-15 (multiperiod_sr_inv_sq_x, which is also
+    # frontier_sigma_curvature), and a solve on G's own factor reaches
+    # 5.3e-14.  Rounding the decimal inputs to floats alone
     # moves multiperiod_omega_sq_y 3.5e-15 from its exact value, so no solve
     # of these floats can be held to 1e-15.
     distances = _verify_distances()

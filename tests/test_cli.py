@@ -10,6 +10,7 @@ import pytest
 
 import hrfrontier
 import hrfrontier.cli
+import hrfrontier.kernel
 from hrfrontier.cli import main
 from conftest import BENCHMARK_MU, BENCHMARK_SIGMA
 
@@ -375,7 +376,8 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, market_file
     def broken(market):
         raise ValueError("boom")
 
-    monkeypatch.setattr(hrfrontier.cli, "hj_bounds", broken)
+    # ``_cmd_hj`` imports ``hj_bounds`` from ``hrfrontier.kernel`` when it runs.
+    monkeypatch.setattr(hrfrontier.kernel, "hj_bounds", broken)
     code, out, err = run_cli(capsys, "hj", "--input", str(market_file))
     assert code == 2 and out == ""
     report = json.loads(err)
