@@ -37,11 +37,12 @@ from .moments import Frozen, FrozenValue, ScenarioPayoff, check_states, moment_s
 def _check_symmetric(a: np.ndarray, name: str) -> None:
     """Reject a finite square ``a`` unless ``max|a - aT| <= 1e-12 * max(1, max|a|)``.
 
-    The difference is formed 32 rows at a time, so no temporary outgrows a band.
+    The difference is formed 32 rows at a time, right of the diagonal only
+    (``fl(x - y) = -fl(y - x)``), so no temporary outgrows a band.
     """
     tol = 1e-12 * max(1.0, float(a.max()), -float(a.min()))
     for i in range(0, len(a), 32):
-        band = a[i : i + 32] - a[:, i : i + 32].T
+        band = a[i : i + 32, i:] - a[i:, i : i + 32].T
         if float(np.abs(band, out=band).max()) > tol:
             raise InvalidInputError(f"{name} is not symmetric")
 
@@ -185,7 +186,7 @@ class DatedFlows(Frozen):
             raise InvalidHorizonError("dates are integers starting at 1", date=date)
         try:
             q, vals = readonly(probabilities), readonly(values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(
                 "cash flows must be numeric arrays", date=date, error=str(exc)
             ) from None
@@ -281,7 +282,7 @@ def gram_from_sequence_space(
 def _float_array(data: Mapping[str, Any], name: str) -> np.ndarray:
     try:
         return readonly(data[name])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidInputError(
             "market field is not a numeric array", field=name, error=str(exc)
         ) from None
@@ -340,7 +341,7 @@ def market_from_json(source: str | Path | Mapping[str, Any]) -> GramMarket:
                     for entry in data["flows"]
                 )
                 beta, horizon = float(data["beta"]), _whole(data.get("horizon", 64))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidInputError(
                     "malformed sequence market", error=str(exc)
                 ) from None

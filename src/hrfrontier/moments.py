@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import struct
 import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -33,12 +34,30 @@ EXTRACT_MIN_TERMS = 1024
 
 def readonly(data) -> np.ndarray:
     """``data`` as a read-only float array: itself when it already is one that
-    owns its memory, else a copy."""
+    owns its memory, else a copy.  A list of numbers, or of equal-length lists
+    of numbers, is packed by :mod:`struct` to the doubles ``np.array`` gives."""
     owned = type(data) is np.ndarray and data.dtype == float and data.base is None
     if owned and not data.flags.writeable:
         return data
-    out = np.array(data, dtype=float)
+    out = _packed(data) if type(data) is list else None
+    if out is None:
+        out = np.array(data, dtype=float)
     out.flags.writeable = False
+    return out
+
+
+def _packed(data: list) -> np.ndarray | None:
+    rows = data if data and type(data[0]) is list else [data]
+    width = len(rows[0])
+    out = np.empty((len(rows), width) if rows is data else width)
+    pack = _row_format(width).pack_into
+    try:
+        for i, row in enumerate(rows):
+            if type(row) is not list:
+                return None
+            pack(out, 8 * width * i, *row)
+    except struct.error:  # a string, None, a sequence or a huge int entry; a ragged row
+        return None
     return out
 
 
@@ -158,6 +177,11 @@ def _fsum_rows(terms: np.ndarray) -> list[float]:
 @functools.lru_cache(maxsize=64)
 def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_format(width: int) -> struct.Struct:
+    return struct.Struct(f"{width}d")
 
 
 class Frozen:

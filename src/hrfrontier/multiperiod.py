@@ -103,8 +103,8 @@ def propagate(one_period: SpecialPortfolios, horizon: int) -> MultiperiodStats:
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
-    gsum = _ratio_geometric_sum(one_period.hr_sq_y, horizon)
-    try:
+    try:  # a horizon beyond the float range overflows here too
+        gsum = _ratio_geometric_sum(one_period.hr_sq_y, horizon)
         mu_y, omega_sq_y = one_period.mu_y**horizon, one_period.omega_sq_y**horizon
         hr_sq_y = one_period.hr_sq_y**horizon
     except OverflowError:

@@ -150,6 +150,8 @@ def test_a_ratio_bound_excess_is_invalid_input_at_every_horizon(
 
 FLOW = '{"date": 1, "probabilities": [0.5, 0.5], "values": [[1.0, 2.0]]}'
 SEQUENCE = '{{"kind": "sequence", "beta": 0.5, "horizon": 8, "prices": [1.0], "flows": [{flow}]}}'
+# A JSON integer literal that no float can hold.
+BEYOND_FLOAT = "1" + "0" * 400
 SEQUENCE_NAN = (
     '{"kind": "sequence", "beta": 0.5, "horizon": 8, "prices": [1.0],'
     ' "flows": [{"date": 1, "probabilities": [1.0], "values": [[NaN]]}]}'
@@ -174,11 +176,26 @@ SEQUENCE_NAN = (
         SEQUENCE.format(flow=FLOW).replace('"horizon": 8', '"horizon": 3.7'),
         SEQUENCE.format(flow=FLOW).replace("[" + FLOW + "]", FLOW),
         '{"kind": "universe", "mu": [1e200, 1.0], "sigma": [[0.04, 0.0], [0.0, 0.04]]}',
+        '{"kind": "universe", "mu": [1.1], "sigma": [[%s]]}' % BEYOND_FLOAT,
+        '{"kind": "universe", "mu": [%s], "sigma": [[0.04]]}' % BEYOND_FLOAT,
+        '{"kind": "gram", "G": [[%s]], "m": [1.0], "p": [1.0]}' % BEYOND_FLOAT,
+        '{"kind": "gram", "G": [[1.25]], "m": [%s], "p": [1.0]}' % BEYOND_FLOAT,
+        '{"kind": "gram", "G": [[1.25]], "m": [1.0], "p": [%s]}' % BEYOND_FLOAT,
+        SEQUENCE.format(flow=FLOW).replace('"prices": [1.0]', f'"prices": [{BEYOND_FLOAT}]'),
+        SEQUENCE.format(flow=FLOW.replace("[0.5, 0.5]", f"[{BEYOND_FLOAT}, 0.5]")),
+        SEQUENCE.format(flow=FLOW.replace("[[1.0, 2.0]]", f"[[1.0, {BEYOND_FLOAT}]]")),
+        SEQUENCE.format(flow=FLOW).replace('"beta": 0.5', f'"beta": {BEYOND_FLOAT}'),
+        SEQUENCE.format(flow=FLOW).replace('"horizon": 8', f'"horizon": {BEYOND_FLOAT}'),
+        SEQUENCE.format(flow=FLOW.replace('"date": 1', f'"date": {BEYOND_FLOAT}')),
     ],
     ids=[
         "nan-G", "nan-m", "nan-values", "inf-G", "inf-mu", "ragged-G", "text-mu",
         "flat-values", "text-date", "fractional-date", "text-probability",
         "text-beta", "fractional-horizon", "object-flows", "huge-mu",
+        "int-beyond-float-sigma", "int-beyond-float-mu", "int-beyond-float-G",
+        "int-beyond-float-m", "int-beyond-float-p", "int-beyond-float-prices",
+        "int-beyond-float-probability", "int-beyond-float-values", "int-beyond-float-beta",
+        "int-beyond-float-horizon", "int-beyond-float-date",
     ],
 )
 def test_non_finite_or_malformed_numbers_are_invalid_input(capsys, tmp_path, text):
@@ -301,6 +318,22 @@ def test_huge_horizon_on_a_feasible_market_is_invalid_input(capsys, tmp_path):
     code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", "1000000")
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "invalid_input"
+
+
+def test_horizon_beyond_the_float_range_is_invalid_input(capsys, tmp_path):
+    # No float holds the horizon, so no power of a one-period moment takes it.
+    path = tmp_path / "market.json"
+    path.write_text(
+        json.dumps(
+            {"kind": "universe", "mu": BENCHMARK_MU[:2], "sigma": [r[:2] for r in BENCHMARK_SIGMA[:2]]}
+        )
+    )
+    periods = "1" + "0" * 400
+    code, out, err = run_cli(capsys, "multiperiod", "--input", str(path), "--periods", periods)
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["code"] == "invalid_input"
+    assert report["context"]["horizon"] == int(periods)
 
 
 @pytest.mark.parametrize("periods", ["3000", "1000000"])

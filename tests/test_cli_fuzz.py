@@ -58,17 +58,28 @@ NUMBER = st.one_of(
 )
 
 
+# JSON integers: small, next to 2**53 (where floats stop holding every
+# integer), beyond the float range; and booleans.
+INTEGER = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**53 - 2, 2**53 + 2),
+    st.just(10**400),
+    st.booleans(),
+)
+
+
 @st.composite
 def corrupt(draw, rows):
-    """Mostly leave a matrix alone; else drop one entry (a ragged row) or
-    replace one by a number from anywhere in the float range."""
+    """Mostly leave a matrix alone; else drop one entry (a ragged row), or
+    replace one by a number from anywhere in the float range or an integer."""
     rows = [list(row) for row in rows]
-    mutation = draw(st.integers(0, 9))
+    mutation = draw(st.integers(0, 10))
     i = draw(st.integers(0, len(rows) - 1))
     if mutation == 8:
         rows[i] = rows[i][:-1]
-    elif mutation == 9:
-        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(NUMBER)
+    elif mutation >= 9:
+        entry = NUMBER if mutation == 9 else INTEGER
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(entry)
     return rows
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -412,6 +414,59 @@ def test_readonly_copies_all_but_an_owned_read_only_float_array():
         assert out is not data and not out.flags.writeable and out.dtype == float
         assert not np.shares_memory(out, data)
     assert writable.flags.writeable
+
+
+# Entries that a list of numbers may hold, at the edges of float conversion.
+EDGE_ENTRIES = {
+    "negative-zero": -0.0, "nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+    "least-subnormal": 5e-324, "float-max": sys.float_info.max,
+    "int-2e53+1": 2**53 + 1, "int-2e63+1": 2**63 + 1, "int-2e64+3": 2**64 + 3,
+    "true": True, "false": False, "np-float32": np.float32(0.1),
+    "np-float64": np.float64(0.3), "np-int64": np.int64(7),
+    "decimal": Decimal("0.1"), "fraction": Fraction(1, 3),
+}
+EDGE_FORMS = {
+    "scalar": lambda x: x,
+    "one": lambda x: [x],
+    "vector": lambda x: [x, 1.0, x],
+    "1x1": lambda x: [[x]],
+    "3x3": lambda x: [[x, 1.0, 2.0], [3.0, x, 4.0], [5.0, 6.0, x]],
+    "ragged": lambda x: [[x, 1.0], [2.0]],
+}
+# Forms that the packing refuses: each must meet np.array's own fate.
+REFUSED_FORMS = {
+    "text": "1.5", "text-entry": ["1.5", 2.0], "none": [None], "none-in-row": [[1.0, None]],
+    "tuple": (1.0, 2.0), "tuple-rows": [(1.0, 2.0), (3.0, 4.0)],
+    "tuple-second-row": [[1.0, 2.0], (3.0, 4.0)], "ragged": [[1.0, 2.0], [3.0]],
+    "nested": [[[1.0]]], "list-entry": [1.0, [2.0]], "number-row": [[1.0], 2.0],
+    "empty": [], "empty-row": [[]], "empty-rows": [[], []],
+    "huge-int": [10**400], "huge-int-in-row": [[1.0, 10**400]],
+}
+COERCION_CASES = [
+    pytest.param(form(x), id=f"{name}-{shape}")
+    for name, x in EDGE_ENTRIES.items()
+    for shape, form in EDGE_FORMS.items()
+] + [pytest.param(data, id=f"refused-{name}") for name, data in REFUSED_FORMS.items()]
+
+
+def _coerced(data):
+    try:
+        return np.array(data, dtype=float)
+    except Exception as exc:
+        return exc
+
+
+@pytest.mark.parametrize("data", COERCION_CASES)
+def test_readonly_gives_the_bits_or_the_error_of_np_array(data):
+    want = _coerced(data)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as caught:
+            readonly(data)
+        assert str(caught.value) == str(want)
+        return
+    out = readonly(data)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    assert out.base is None and not out.flags.writeable
 
 
 def test_moment_sums_hold_one_cross_moment_buffer_and_its_extraction_buffer():
