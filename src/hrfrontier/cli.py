@@ -29,6 +29,9 @@ from .errors import HRFrontierError, InternalInvariantError, InvalidInputError
 if TYPE_CHECKING:
     from .frontier import FrontierCoefficients
 
+#: Hard cap on the COUNT of ``--grid MIN:MAX:COUNT``.
+GRID_CAP = 1_000_000
+
 
 class _UsageError(Exception):
     pass
@@ -56,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points-csv", help="also write frontier points (CSV mu,omega,sigma)")
         p.add_argument(
             "--grid",
-            help="mean grid for --points-csv as MIN:MAX:COUNT (count >= 2)",
+            help=f"mean grid for --points-csv as MIN:MAX:COUNT (2 <= count <= {GRID_CAP})",
         )
 
     p_frontier = sub.add_parser("frontier", help="special portfolios and frontier parabolas")
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_points(text: str | None) -> list[float] | None:
+def _grid_spec(text: str | None) -> tuple[float, float, int] | None:
     if text is None:
         return None
     parts = text.split(":")
@@ -116,17 +119,17 @@ def _grid_points(text: str | None) -> list[float] | None:
         raise InvalidInputError("could not parse grid spec", grid=text) from None
     if count < 2:
         raise InvalidInputError("grid needs at least two points", count=count)
+    if count > GRID_CAP:
+        raise InvalidInputError("grid has more points than the cap", count=count, cap=GRID_CAP)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise InvalidInputError("grid upper bound must exceed the lower bound")
     if not math.isfinite(hi - lo):
         raise InvalidInputError("grid width leaves the floating-point range", grid=text)
-    import numpy as np
-
-    return [float(x) for x in np.linspace(lo, hi, count)]
+    return lo, hi, count
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse the command line, with the grid turned into its mean points."""
+    """Parse the command line, with the grid checked and kept as ``(lo, hi, count)``."""
     args = build_parser().parse_args(argv)
     if getattr(args, "prob_tol", None) is not None and not args.renormalize:
         raise _UsageError("--prob-tol applies only with --renormalize")
@@ -135,7 +138,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if tol is not None and not (math.isfinite(tol) and tol > 0):
             raise InvalidInputError("tolerances must be positive and finite", option=name)
     if "grid" in args:
-        args.grid = _grid_points(args.grid)
+        args.grid = _grid_spec(args.grid)
     return args
 
 
@@ -153,9 +156,11 @@ def _write_points(coefficients: FrontierCoefficients, args: argparse.Namespace) 
         return
     if args.grid is None:
         raise InvalidInputError("--points-csv needs --grid MIN:MAX:COUNT")
+    import numpy as np
+
     from .frontier import frontier_points
 
-    points = frontier_points(coefficients, args.grid)
+    points = frontier_points(coefficients, np.linspace(*args.grid))
     with open(args.points_csv, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["mu", "omega", "sigma"])

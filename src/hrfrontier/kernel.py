@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     InternalInvariantError,
     NotAKernelError,
-    NotScenarioBackedError,
     StateSpaceMismatchError,
 )
 from .frontier import special_portfolios
@@ -105,13 +104,6 @@ def hj_bounds(market: GramMarket) -> HJBoundReport:
     )
 
 
-def _require_scenarios(market: GramMarket, what: str) -> None:
-    if not market.is_scenario_backed:
-        raise NotScenarioBackedError(
-            f"{what} needs statewise payoffs; build the market from scenarios"
-        )
-
-
 def kernel_frontier(market: GramMarket) -> KernelFrontier:
     """Construct the kernel family statewise and verify its identities.
 
@@ -121,10 +113,8 @@ def kernel_frontier(market: GramMarket) -> KernelFrontier:
     orthogonal to every spanning payoff.  ``eta_star = 1 / mu_y`` comes from
     the market's solve, not from the states.
     """
-    _require_scenarios(market, "kernel construction")
+    q, values = market._states("kernel construction")
     sp = special_portfolios(market)
-    q = market.state_probabilities
-    values = market.scenario_values
     y_vals = values @ sp.w_y
     x_vals = values @ sp.w_x
     a1 = sp.mu_y / sp.omega_sq_y
@@ -182,11 +172,10 @@ def check_kernel(kernel: ScenarioPayoff, market: GramMarket) -> KernelCheck:
     norm; beyond that it is rejected outright (``NotAKernelError``) because
     the bound derivations presume exact pricing.
     """
-    _require_scenarios(market, "kernel diagnostics")
-    q = market.state_probabilities
+    q, values = market._states("kernel diagnostics")
     if kernel.probabilities is not q and not np.array_equal(kernel.probabilities, q):
         raise StateSpaceMismatchError("kernel is not defined on the market's state space")
-    implied = (q * kernel.values) @ market.scenario_values
+    implied = (q * kernel.values) @ values
     pricing_error = float(np.linalg.norm(implied - market.prices))
     tolerance = PRICING_TOL * float(np.linalg.norm(market.prices))
     if pricing_error > tolerance:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidBetaError,
     InvalidHorizonError,
     InvalidInputError,
+    NotScenarioBackedError,
     StateSpaceMismatchError,
 )
 from .frontier import _solve, special_portfolios
@@ -53,8 +54,8 @@ class AssetUniverse(Frozen):
     checked Cholesky factor is kept, read-only, for the market's solve."""
 
     def __init__(self, mean_returns: np.ndarray, covariance: np.ndarray) -> None:
-        mu = readonly(np.atleast_1d(mean_returns))
-        cov = readonly(np.atleast_2d(covariance))
+        mu = np.atleast_1d(readonly(mean_returns))
+        cov = np.atleast_2d(readonly(covariance))
         n = mu.shape[0]
         if n < 1 or mu.ndim != 1:
             raise InvalidInputError("mean returns must be a nonempty vector")
@@ -95,9 +96,9 @@ class GramMarket(Frozen):
         prices: np.ndarray,
         meta: Mapping[str, float] = MappingProxyType({}),
     ) -> None:
-        gram = readonly(np.atleast_2d(gram))
-        means = readonly(np.atleast_1d(means))
-        prices = readonly(np.atleast_1d(prices))
+        gram = np.atleast_2d(readonly(gram))
+        means = np.atleast_1d(readonly(means))
+        prices = np.atleast_1d(readonly(prices))
         vars(self).update(
             gram=gram,
             means=means,
@@ -126,6 +127,14 @@ class GramMarket(Frozen):
     @property
     def is_scenario_backed(self) -> bool:
         return self.state_probabilities is not None
+
+    def _states(self, what: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(state_probabilities, scenario_values)``, or an error naming ``what``."""
+        if not self.is_scenario_backed:
+            raise NotScenarioBackedError(
+                f"{what} needs statewise payoffs; build the market from scenarios"
+            )
+        return self.state_probabilities, self.scenario_values
 
 
 def gram_from_universe(universe: AssetUniverse) -> GramMarket:

@@ -241,7 +241,7 @@ class ScenarioPayoff(Frozen):
         With ``renormalize`` the probabilities are rescaled to sum to one,
         provided their raw sum is within ``sum_tol`` of one (never silently).
         """
-        q = np.asarray(probabilities, dtype=float)
+        q = readonly(probabilities)
         if renormalize:
             total = fsum_rows(q.reshape(1, -1))[0]
             if not total > 0 or abs(total - 1.0) > sum_tol:

@@ -16,7 +16,8 @@ built-in verification.
 Over a market's zero-cost payoffs ``sup MHR^2 = 2 max E[u(W)]`` for the same
 utility; ``monotone_hj_bound`` solves that concave program exactly with an
 active-set Newton method and an exact line search along each step, which
-bisects the kinks of the slope in the same way.
+bisects the kinks of the slope in the same way.  It loads the kernel layer
+when called; a payoff's ratio loads no market code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,10 @@ from .errors import (
     NoDownsideError,
     NonPositiveMeanError,
 )
-from .kernel import _require_scenarios, check_kernel
-from .market import GramMarket
 from .moments import ScenarioPayoff, fsum_rows, hr_to_sr, stats
+
+if TYPE_CHECKING:
+    from .market import GramMarket
 
 #: Residual of the truncation first-order condition permitted at the optimum.
 FOC_TOL = 1e-10
@@ -288,16 +290,17 @@ def monotone_hj_bound(market: GramMarket, kernel: ScenarioPayoff) -> MonotoneBou
     ``var(kernel)/mean(kernel)^2 >= sup MSR^2``.  The kernel must be
     nonnegative and pass :func:`~hrfrontier.kernel.check_kernel`.
     """
-    _require_scenarios(market, "monotone kernel bound")
+    q, values = market._states("monotone kernel bound")
     if kernel.values.min() < 0.0:
         raise NegativeKernelError(
             "kernel takes negative values", min_value=float(kernel.values.min())
         )
+    # Imported here: a payoff's monotone ratio needs no market code.
+    from .kernel import check_kernel
+
     # A nonnegative kernel other than zero has a positive mean, so both ratios exist.
     check = check_kernel(kernel, market)
     kernel_hr_sq, kernel_ratio = check.hr_sq_m, check.var_over_mean_sq
-    q = market.state_probabilities
-    values = market.scenario_values
 
     # Orthonormal basis of the zero-cost subspace {w : p.w = 0}.
     null_basis = np.linalg.svd(market.prices[None, :])[2][1:].T

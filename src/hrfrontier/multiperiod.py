@@ -22,7 +22,6 @@ from .errors import (
     TreeTooLargeError,
 )
 from .frontier import SpecialPortfolios, frontier_coefficients, special_portfolios
-from .kernel import _require_scenarios
 from .market import GramMarket
 from .moments import FrozenValue
 
@@ -152,10 +151,9 @@ def product_tree(market: GramMarket, horizon: int) -> ScenarioTree:
     plus ``a = mu_y/omega_sq_y`` times its payoff so far rolled over through
     ``y``: ``X <- x + a X y`` (no cancellation against 1).
     """
-    _require_scenarios(market, "tree construction")
+    q, values = market._states("tree construction")
     if not isinstance(horizon, int) or horizon < 1:
         raise InvalidHorizonError("horizon must be an integer >= 1", horizon=horizon)
-    q = market.state_probabilities
     n_leaves = q.shape[0] ** horizon
     if n_leaves > LEAF_CAP:
         raise TreeTooLargeError(
@@ -164,8 +162,8 @@ def product_tree(market: GramMarket, horizon: int) -> ScenarioTree:
             cap=LEAF_CAP,
         )
     sp = special_portfolios(market)
-    y_one = market.scenario_values @ sp.w_y
-    x_one = market.scenario_values @ sp.w_x
+    y_one = values @ sp.w_y
+    x_one = values @ sp.w_x
     a1 = sp.mu_y / sp.omega_sq_y
     probs, y_leaves, x_leaves = q, y_one, x_one
     for _ in range(horizon - 1):

@@ -6,12 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hrfrontier
 import hrfrontier.cli
 import hrfrontier.kernel
-from hrfrontier.cli import main
+from hrfrontier.cli import GRID_CAP, main
 from conftest import BENCHMARK_MU, BENCHMARK_SIGMA
 
 
@@ -51,10 +52,17 @@ class TestFrontierCommand:
         assert report["frontier"]["degenerate"] is False
         assert report["hansen_bound"]["pass"] is True
 
-    def test_deterministic_output(self, capsys, market_file):
-        _, first, _ = run_cli(capsys, "frontier", "--input", str(market_file))
-        _, second, _ = run_cli(capsys, "frontier", "--input", str(market_file))
-        assert first == second
+    @pytest.mark.parametrize(
+        "argv",
+        [["frontier"], ["multiperiod", "--periods", "4"], ["hj"], ["mhr"], ["verify"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_deterministic_output(self, capsys, market_file, scenario_file, argv):
+        if argv[0] != "verify":
+            path = scenario_file if argv[0] == "mhr" else market_file
+            argv = [argv[0], "--input", str(path), *argv[1:]]
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first
 
     def test_output_file_and_points(self, capsys, market_file, tmp_path):
         out_json = tmp_path / "report.json"
@@ -656,6 +664,23 @@ def test_grid_wider_than_the_float_range_is_invalid_input(capsys, market_file, t
     )
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err)["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "command", [["frontier"], ["multiperiod", "--periods", "2"]], ids=["frontier", "multiperiod"]
+)
+@pytest.mark.parametrize("count, code", [(GRID_CAP, 0), (GRID_CAP + 1, 1), (10**12, 1)])
+def test_grid_is_built_only_for_points_and_its_count_is_capped(
+    capsys, monkeypatch, market_file, command, count, code
+):
+    # Without --points-csv nothing reads the grid, so nothing may build it.
+    monkeypatch.setattr(np, "linspace", lambda *args: pytest.fail("grid built"))
+    exit_code, out, err = run_cli(
+        capsys, command[0], "--input", str(market_file), *command[1:], f"--grid=0.5:2:{count}"
+    )
+    assert exit_code == code
+    if code:
+        assert out == "" and json.loads(err)["code"] == "invalid_input"
 
 
 def test_losses_that_vanish_beside_the_gains_still_get_a_cap(capsys, tmp_path):

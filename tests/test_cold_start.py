@@ -1,10 +1,10 @@
 """The cold-start contract of the package and its command line.
 
 ``import hrfrontier`` resolves its names lazily, so it loads neither numpy nor
-any submodule; each CLI command imports only what it uses; and the CLI run as
-a program pins BLAS to one thread, so its bytes do not depend on the thread
-count.  These tests check structure (which modules load, which settings
-change), never timing.
+any submodule; each CLI command imports only what it uses, and the payoff
+layer imports no market code; and the CLI run as a program pins BLAS to one
+thread, so its bytes do not depend on the thread count.  These tests check
+structure (which modules load, which settings change), never timing.
 """
 
 import gc
@@ -22,12 +22,26 @@ import hrfrontier
 from hrfrontier.cli import main
 
 SRC = str(Path(hrfrontier.__file__).parents[1])
+UNIVERSE = {"kind": "universe", "mu": [1.1, 1.2], "sigma": [[0.04, 0.01], [0.01, 0.09]]}
+
+
+def _child(code: str, *args: str):
+    """The JSON that ``code`` prints in a fresh interpreter given ``args``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_package_import_loads_no_numpy_and_frontier_loads_only_its_modules(tmp_path):
     market = tmp_path / "market.json"
-    market.write_text(json.dumps({"kind": "universe", "mu": [1.1, 1.2], "sigma": [[0.04, 0.01], [0.01, 0.09]]}))
-    code = textwrap.dedent(
+    market.write_text(json.dumps(UNIVERSE))
+    seen = _child(
         """
         import contextlib, io, json, os, runpy, sys
         import hrfrontier
@@ -45,17 +59,9 @@ def test_package_import_loads_no_numpy_and_frontier_loads_only_its_modules(tmp_p
         seen["modules"] = sorted(m for m in sys.modules if m.startswith("hrfrontier."))
         seen["pins"] = [os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
         print(json.dumps(seen))
-        """
+        """,
+        str(market),
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(market)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
     assert seen["package"] == [] and seen["cli"] == []
     assert seen["environ_unchanged"]
     assert seen["exit"] == 0
@@ -63,6 +69,60 @@ def test_package_import_loads_no_numpy_and_frontier_loads_only_its_modules(tmp_p
     assert not loaded & {"kernel", "monotone", "multiperiod", "benchmark"}
     assert {"cli", "frontier", "market"} <= loaded
     assert seen["pins"] == ["1", "1", "1"]
+
+
+# The package modules each command loads besides errors and moments; cli
+# itself runs as ``__main__``.
+COMMAND_MODULES = {
+    "frontier": {"_linalg", "frontier", "market"},
+    "multiperiod": {"_linalg", "frontier", "market", "multiperiod"},
+    "hj": {"_linalg", "frontier", "kernel", "market"},
+    "mhr": {"monotone"},
+    "verify": {"_linalg", "benchmark", "frontier", "market", "multiperiod"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_exactly_its_modules(tmp_path, command):
+    market, payoff = tmp_path / "market.json", tmp_path / "payoff.csv"
+    market.write_text(json.dumps(UNIVERSE))
+    payoff.write_text("0.25,-0.5\n0.75,1.5\n")
+    argv = {
+        "frontier": ["--input", str(market), "--points-csv", str(tmp_path / "points.csv"),
+                     "--grid", "0.5:2:5"],
+        "multiperiod": ["--input", str(market), "--periods", "4"],
+        "hj": ["--input", str(market)],
+        "mhr": ["--input", str(payoff)],
+        "verify": [],
+    }[command]
+    code, modules = _child(
+        """
+        import contextlib, io, json, runpy, sys
+        sys.argv = ["hrfrontier", *sys.argv[1:]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                runpy.run_module("hrfrontier.cli", run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps([code, [m for m in sys.modules if m.startswith("hrfrontier.")]]))
+        """,
+        command,
+        *argv,
+    )
+    assert code == (2 if command == "verify" else 0)  # verify: the known red rows
+    loaded = {name.split(".")[1] for name in modules}
+    assert loaded == COMMAND_MODULES[command] | {"errors", "moments"}
+
+
+def test_the_payoff_layer_imports_no_market_code():
+    modules = _child(
+        """
+        import json, sys
+        import hrfrontier.monotone
+        print(json.dumps([m for m in sys.modules if m.startswith("hrfrontier.")]))
+        """
+    )
+    assert sorted(modules) == ["hrfrontier.errors", "hrfrontier.moments", "hrfrontier.monotone"]
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -15,13 +15,18 @@ from hrfrontier import (
     InvalidHorizonError,
     InvalidInputError,
     NotPositiveDefiniteError,
+    NotScenarioBackedError,
     ScenarioPayoff,
     SequenceSpaceSpec,
     StateSpaceMismatchError,
+    check_kernel,
     gram_from_scenarios,
     gram_from_sequence_space,
     gram_from_universe,
+    kernel_frontier,
     market_from_json,
+    monotone_hj_bound,
+    product_tree,
 )
 from conftest import (
     BENCHMARK_MU,
@@ -398,6 +403,26 @@ class TestMarketJson:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InvalidInputError):
             market_from_json(path)
+
+
+# A negative payoff on states the market lacks, and a horizon of 0: each
+# would raise its own error if the states were not checked first.
+BAD_KERNEL = ScenarioPayoff.from_arrays((0.5, 0.5), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("kernel construction", kernel_frontier),
+        ("kernel diagnostics", lambda market: check_kernel(BAD_KERNEL, market)),
+        ("tree construction", lambda market: product_tree(market, 0)),
+        ("monotone kernel bound", lambda market: monotone_hj_bound(market, BAD_KERNEL)),
+    ],
+)
+def test_a_market_without_states_rejects_statewise_operations_first(benchmark_market, what, call):
+    with pytest.raises(NotScenarioBackedError) as caught:
+        call(benchmark_market)
+    assert caught.value.message == f"{what} needs statewise payoffs; build the market from scenarios"
 
 
 def test_arrays_are_readonly(benchmark_market):

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrfrontier import (
+    AssetUniverse,
+    GramMarket,
+    HRFrontierError,
     InvalidInputError,
     OutOfRangeError,
     ScenarioPayoff,
@@ -467,6 +470,47 @@ def test_readonly_gives_the_bits_or_the_error_of_np_array(data):
     out = readonly(data)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
     assert out.base is None and not out.flags.writeable
+
+
+# Each array a constructor coerces, built beside well-formed partners of size
+# n, with the rank it is kept at.
+ARRAY_ARGUMENTS = {
+    "universe-means": (np.atleast_1d, lambda x, n: AssetUniverse(x, np.eye(n)).mean_returns),
+    "universe-covariance": (np.atleast_2d, lambda x, n: AssetUniverse(np.ones(n), x).covariance),
+    "market-gram": (np.atleast_2d, lambda x, n: GramMarket(x, np.ones(n), np.ones(n)).gram),
+    "market-means": (np.atleast_1d, lambda x, n: GramMarket(2 * np.eye(n), x, np.ones(n)).means),
+    "market-prices": (np.atleast_1d, lambda x, n: GramMarket(2 * np.eye(n), np.ones(n), x).prices),
+    "payoff-probabilities": (
+        np.atleast_1d, lambda x, n: ScenarioPayoff.from_arrays(x, np.ones(n)).probabilities
+    ),
+}
+
+
+# A trace past the float range makes the pivot floor infinite: numpy warns, and
+# the covariance is rejected as singular.
+TRACE_OVERFLOW = pytest.mark.xfail(strict=True, reason="the pivot floor's trace overflows")
+CONSTRUCTOR_CASES = [
+    pytest.param(*case.values, id=case.id, marks=TRACE_OVERFLOW) if case.id == "float-max-3x3"
+    else case
+    for case in COERCION_CASES
+]
+
+
+@pytest.mark.parametrize("data", CONSTRUCTOR_CASES)
+def test_constructors_give_the_bits_or_the_error_of_np_array(data):
+    want = _coerced(data)
+    n = 1 if isinstance(want, Exception) or want.ndim == 0 else want.shape[-1]
+    for name, (at_rank, build) in ARRAY_ARGUMENTS.items():
+        try:
+            got = build(data, n)
+        except Exception as exc:
+            got = exc
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want), name
+        elif not isinstance(got, HRFrontierError):  # a shape or value the type rejects
+            kept = at_rank(want)
+            assert got.shape == kept.shape and got.tobytes() == kept.tobytes(), name
+            assert not got.flags.writeable, name
 
 
 def test_moment_sums_hold_one_cross_moment_buffer_and_its_extraction_buffer():
