@@ -39,7 +39,10 @@ def check_pivots(pivots: np.ndarray, matrix: np.ndarray, *, name: str = "gram ma
     """Raise NotPositiveDefiniteError unless every Cholesky pivot of
     ``matrix`` (a squared diagonal entry of its factor) reaches
     ``1e-10 * trace/n``; a NaN pivot fails too."""
-    floor = SPD_PIVOT_FACTOR * matrix.trace() / matrix.shape[0]
+    with np.errstate(over="ignore"):  # a trace past the float range is inf here
+        floor = SPD_PIVOT_FACTOR * matrix.trace() / matrix.shape[0]
+    if floor == np.inf:  # so sum the diagonal scaled by 2**-64, which is exact
+        floor = SPD_PIVOT_FACTOR * (matrix.diagonal() * 2.0**-64).sum() / matrix.shape[0] * 2.0**64
     low = pivots.min()
     if not low >= floor:
         raise NotPositiveDefiniteError(

@@ -67,18 +67,10 @@ class SpecialPortfolios(NamedTuple):
     max_hr_attained: bool
 
     def to_dict(self) -> dict:
-        return {
-            "w_y": [float(w) for w in self.w_y],
-            "w_x": [float(w) for w in self.w_x],
-            "w_z": [float(w) for w in self.w_z],
-            "mu_y": self.mu_y,
-            "omega_sq_y": self.omega_sq_y,
-            "hr_sq_y": self.hr_sq_y,
-            "hr_sq_x": self.hr_sq_x,
-            "mu_z": self.mu_z,
-            "sigma_sq_z": self.sigma_sq_z,
-            "max_hr_attained": self.max_hr_attained,
-        }
+        """Every field but ``slack``, in order, with the weights as lists."""
+        fields = self._asdict()
+        del fields["slack"]
+        return {k: v.tolist() if k.startswith("w_") else v for k, v in fields.items()}
 
 
 class Parabola(NamedTuple):
@@ -142,7 +134,7 @@ def _z_stats(
     """
     if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
         raise ArbitrageError(
-            "zero-cost squared ratio too close to one", hr_sq_x=hr_sq_x
+            "market admits a (numerically) riskless zero-cost profit", hr_sq_x=hr_sq_x
         )
     return mu_y / (hr_sq_y + slack), omega_sq_y * slack / (hr_sq_y + slack)
 
@@ -155,13 +147,13 @@ def special_portfolios(market: GramMarket) -> SpecialPortfolios:
     ``c = L^-1 p`` and ``b = L^-1 m``, and every ratio is a squared norm:
     ``omega_sq_y = 1/|c|^2``, ``mu_y = (b.c) omega_sq_y`` and
     ``hr_sq_x = |b_x|^2`` for the part ``b_x = b - mu_y c`` of ``b`` across
-    ``c``, so no ratio can come out negative.  One back sweep of
-    ``[omega_sq_y c | b_x]`` with ``L^T`` gives ``w_y`` and ``w_x``.  Both
-    sweeps are blocked triangular substitution (``triangular_solve``).  The
-    result is memoized on the market, which is frozen with read-only arrays,
-    so the memo cannot go stale; its weight arrays are read-only too.  A
-    universe market is solved when it is built, on its covariance factor
-    (``_solve``), and never factors ``G``.
+    ``c``, so no ratio can come out negative.  Last, after every check, one
+    back sweep of ``[omega_sq_y c | b_x]`` with ``L^T`` gives ``w_y`` and
+    ``w_x``; both sweeps are blocked triangular substitution.  The result is
+    memoized on the market, which is frozen with read-only arrays, so the
+    memo cannot go stale; its weight arrays are read-only too.  A universe
+    market is solved when it is built, on its covariance factor (``_solve``),
+    and never factors ``G``.
     """
     memo = market.__dict__.get("_special_portfolios")
     if memo is not None:
@@ -176,6 +168,7 @@ def _solve(
     ``G``, or, with ``covariance``, the factor ``C`` of a universe's
     covariance ``G - m m^T`` (prices all one), in Merton's (1972) forms.
 
+    Both kinds test range, arbitrage (``_z_stats``) and feasibility, then sweep back.
     The universe's sweep of ``[1 | m - lam]``, ``lam`` the average mean,
     forms ``b_x = C^-1 m - mu_z c`` from centered means, so it keeps its
     digits when the means are nearly equal.  With ``d = |b_x|^2`` and
@@ -206,39 +199,34 @@ def _solve(
             b_x = b - shift * c
             d = float(b_x @ b_x)
             if covariance:
-                mu_z = shift + lam
-                t_n = 1.0 + d + c_sq * mu_z * mu_z
+                merton_mu_z = shift + lam  # the record's is _z_stats'
+                t_n = 1.0 + d + c_sq * merton_mu_z * merton_mu_z
                 hr_sq_x, slack = d / (1.0 + d), 1.0 / t_n
-                mu_y, omega_sq_y = mu_z / (1.0 + d), t_n * inv / (1.0 + d)
+                mu_y, omega_sq_y = merton_mu_z / (1.0 + d), t_n * inv / (1.0 + d)
                 b_x /= 1.0 + d
-                back = np.column_stack((inv * c - mu_z * b_x, b_x))
             else:
                 omega_sq_y, mu_y, hr_sq_x = inv, shift, d
-                back = np.column_stack((omega_sq_y * c, b_x))
             hr_sq_y = mu_y * mu_y / omega_sq_y
             # Finite ratios leave no inf or NaN in the weights they sum.
             solved = all(map(math.isfinite, (omega_sq_y, hr_sq_y, hr_sq_x)))
-            w_y, w_x = triangular_solve(lower.T, back, lower=False).T
-    if not (0.0 < c_sq < math.inf and solved):
-        raise InvalidInputError("the market's solve leaves the floating-point range")
-    if hr_sq_x >= 1.0 - ARBITRAGE_TOL:
-        raise ArbitrageError(
-            "market admits a (numerically) riskless zero-cost profit",
-            hr_sq_x=hr_sq_x,
-        )
-    if not covariance:
-        # hr_sq_x + hr_sq_y <= 1 in any payoff space, but a hand-written Gram
-        # matrix can break it.  An excess within the tolerance (on the ratios,
-        # whatever the payoffs' scale) is rounding; the slack is clamped at 0.
-        slack = 1.0 - hr_sq_x - hr_sq_y
-        if slack < -VARIANCE_CLAMP_TOL:
+        if not (0.0 < c_sq < math.inf and solved):
+            raise InvalidInputError("the market's solve leaves the floating-point range")
+        if not covariance:
+            # hr_sq_x + hr_sq_y <= 1 in any payoff space, but a hand-written
+            # Gram matrix can break it.  An excess within the tolerance (on the
+            # ratios, whatever the payoffs' scale) is rounding; it is clamped.
+            unclamped = 1.0 - hr_sq_x - hr_sq_y
+            slack = max(0.0, unclamped)
+        # The one arbitrage test: a free lunch is reported before infeasibility.
+        mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x, slack)
+        if not covariance and unclamped < -VARIANCE_CLAMP_TOL:
             raise InvalidInputError(
                 "no payoff space has these moments: hr_sq_x + hr_sq_y exceeds one",
                 hr_sq_x=hr_sq_x,
                 hr_sq_y=hr_sq_y,
             )
-        slack = max(0.0, slack)
-    mu_z, sigma_sq_z = _z_stats(mu_y, omega_sq_y, hr_sq_y, hr_sq_x, slack)
+        y_rhs = inv * c - mu_z * b_x if covariance else omega_sq_y * c
+        w_y, w_x = triangular_solve(lower.T, np.column_stack((y_rhs, b_x)), lower=False).T
     w_z = w_y + mu_z * w_x
     for weights in (w_y, w_x, w_z):
         weights.flags.writeable = False

@@ -261,14 +261,16 @@ class ScenarioPayoff(Frozen):
         renormalize: bool = False,
         sum_tol: float = PROBABILITY_SUM_TOL,
     ) -> "ScenarioPayoff":
-        """Read a two-column ``probability,value`` CSV (header optional)."""
+        """Read a ``probability,value`` CSV; its first non-blank row may be a header."""
         probs: list[float] = []
         vals: list[float] = []
-        with open(path, newline="", encoding="utf-8") as handle:
+        first = True
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # a BOM is no data
             for row_no, row in enumerate(csv.reader(handle)):
                 cells = [c.strip() for c in row if c.strip() != ""]
                 if not cells:
                     continue
+                header, first = first, False
                 if len(cells) != 2:
                     raise InvalidInputError(
                         "scenario CSV rows need exactly two columns",
@@ -278,8 +280,8 @@ class ScenarioPayoff(Frozen):
                 try:
                     prob, value = float(cells[0]), float(cells[1])
                 except ValueError:
-                    if row_no == 0:
-                        continue  # header line
+                    if header:
+                        continue
                     raise InvalidInputError(
                         "could not parse scenario CSV row", row=row_no + 1
                     ) from None

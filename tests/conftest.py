@@ -165,7 +165,7 @@ def exact_one_period_oracle(gram, means, prices) -> dict[str, Fraction]:
     """Exact one-period ratios of a market given by rational ``G``, ``m``, ``p``
     (or anything ``Fraction`` takes exactly: ints, floats, decimal strings),
     keyed by the one-period ``verify`` rows, with the slack ``1 - m.G^-1m``,
-    the mean and variance of z, and the weights of x."""
+    the mean and variance of z, and the weights of y, x and z."""
     gram = [[Fraction(g) for g in row] for row in gram]
     means, prices = [Fraction(m) for m in means], [Fraction(p) for p in prices]
     gi_p, gi_m = _exact_solve(gram, prices), _exact_solve(gram, means)
@@ -176,6 +176,9 @@ def exact_one_period_oracle(gram, means, prices) -> dict[str, Fraction]:
     mu_y = p_gi_m / p_gi_p
     hr_sq_x = m_gi_m - p_gi_m**2 / p_gi_p
     slack = 1 - m_gi_m
+    mu_z = mu_y / (1 - hr_sq_x)
+    w_y = [omega_sq_y * a for a in gi_p]
+    w_x = [a - mu_y * b for a, b in zip(gi_m, gi_p)]
     return {
         "omega_sq_y": omega_sq_y,
         "mu_y": mu_y,
@@ -184,9 +187,11 @@ def exact_one_period_oracle(gram, means, prices) -> dict[str, Fraction]:
         "hr_sq_x": hr_sq_x,
         "hr_sq_x_plus_hr_sq_y": m_gi_m,
         "slack": slack,
-        "mu_z": mu_y / (1 - hr_sq_x),
+        "mu_z": mu_z,
         "sigma_sq_z": omega_sq_y * slack / (1 - hr_sq_x),
-        "w_x": [a - mu_y * b for a, b in zip(gi_m, gi_p)],
+        "w_y": w_y,
+        "w_x": w_x,
+        "w_z": [a + mu_z * b for a, b in zip(w_y, w_x)],
     }
 
 
@@ -194,7 +199,7 @@ def exact_verify_oracle(gram, means, prices, horizon: int) -> dict[str, Fraction
     """Exact value of every ``verify`` row for any small rational market: the
     one-period oracle propagated over ``horizon`` IID periods in closed form."""
     one = exact_one_period_oracle(gram, means, prices)
-    for name in ("slack", "mu_z", "sigma_sq_z", "w_x"):  # one-period values, not rows
+    for name in ("slack", "mu_z", "sigma_sq_z", "w_y", "w_x", "w_z"):  # not rows
         del one[name]
     mu_y = one["mu_y"] ** horizon
     omega_sq_y = one["omega_sq_y"] ** horizon

@@ -13,6 +13,7 @@ import hrfrontier
 import hrfrontier.cli
 import hrfrontier.kernel
 from hrfrontier.cli import GRID_CAP, main
+from hrfrontier.errors import InternalInvariantError
 from conftest import BENCHMARK_MU, BENCHMARK_SIGMA
 
 
@@ -426,6 +427,36 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, market_file
     assert "broken" in report["context"]["traceback"][-1]
 
 
+def _break_an_identity(monkeypatch):
+    def broken(market):
+        raise InternalInvariantError("an identity broke", where="hj")
+
+    monkeypatch.setattr(hrfrontier.kernel, "hj_bounds", broken)
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, message, status",
+    [
+        (["frontier", "--grid", "0.5:2"], None, "invalid_input", "grid spec must be MIN:MAX:COUNT", 1),
+        (["frontier", "--grid", "a:2:3"], None, "invalid_input", "could not parse grid spec", 1),
+        (["hj"], _break_an_identity, "internal_invariant", "an identity broke", 2),
+    ],
+    ids=["grid-of-two-fields", "unparsable-grid", "internal-invariant"],
+)
+def test_rejections_keep_their_code_message_and_exit_status(
+    capsys, monkeypatch, market_file, tmp_path, argv, patch, code, message, status
+):
+    if patch is not None:
+        patch(monkeypatch)
+    argv = [argv[0], "--input", str(market_file), *argv[1:]]
+    if "--grid" in argv:
+        argv += ["--points-csv", str(tmp_path / "points.csv")]
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == status and out == ""
+    report = json.loads(err)
+    assert (report["code"], report["message"]) == (code, message)
+
+
 class TestMultiperiodCommand:
     def test_four_period_report(self, capsys, market_file):
         code, out, _ = run_cli(
@@ -492,6 +523,23 @@ class TestMhrCommand:
         )
         assert code == 0
         assert json.loads(out)["mhr"] > 0.0
+
+    @pytest.mark.parametrize(
+        "prefix", ["\ufeff", "\nprobability,value\n"], ids=["byte-order-mark", "blank-then-header"]
+    )
+    @pytest.mark.parametrize(
+        "argv", [(), ("--renormalize", "--prob-tol", "0.2")], ids=["plain", "renormalized"]
+    )
+    def test_a_byte_order_mark_or_a_late_header_reads_as_the_plain_file(
+        self, capsys, tmp_path, prefix, argv
+    ):
+        rows = "0.1,2.0\n0.45,-1.0\n0.45,3.0\n"
+        runs = []
+        for name, text in (("plain.csv", rows), ("prefixed.csv", prefix + rows)):
+            path = tmp_path / name
+            path.write_bytes(text.encode("utf-8"))
+            runs.append(run_cli(capsys, "mhr", "--input", str(path), *argv))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
     def test_probability_tolerance_needs_renormalize(self, capsys, tmp_path):
         # Without --renormalize the sum must be one to 1e-12; a wider window
@@ -580,6 +628,9 @@ class TestUsageErrors:
         assert json.loads(err)["code"] == "invalid_input"
 
 
+FLOAT_MAX_I3 = json.dumps((1.7e308 * np.eye(3)).tolist())
+
+
 @pytest.mark.parametrize(
     "argv, text, code",
     [
@@ -618,11 +669,23 @@ class TestUsageErrors:
         (["mhr", "--renormalize", "--prob-tol", "1e-6"], "nan,0.0\n", "invalid_input"),
         (["mhr", "--renormalize"], "inf,1.0\n-inf,2.0\n", "invalid_input"),
         (["mhr", "--renormalize"], "1e308,1.0\n1e308,2.0\n", "invalid_input"),
+        # A trace past the float range still gives a finite pivot floor.
+        (
+            ["frontier"],
+            '{"kind": "universe", "mu": [1.0, 1.1, 1.2], "sigma": %s}' % FLOAT_MAX_I3,
+            None,
+        ),
+        (
+            ["frontier"],
+            '{"kind": "gram", "G": %s, "m": [1.0, 1.1, 1.2], "p": [1, 1, 1]}' % FLOAT_MAX_I3,
+            None,
+        ),
     ],
     ids=[
         "points-of-a-degenerate-frontier", "tiny-price", "tiny-gram", "ratio-of-y-above-one",
         "subnormal-beta", "overflowing-second-moment", "nan-probability-renormalized",
         "infinite-probabilities-renormalized", "overflowing-probabilities-renormalized",
+        "trace-past-float-max-covariance", "trace-past-float-max-gram",
     ],
 )
 def test_inputs_at_the_edge_of_the_float_range_end_cleanly(capsys, tmp_path, argv, text, code):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hrfrontier.frontier
 from hrfrontier import (
     ArbitrageError,
     DegenerateFrontierError,
@@ -30,6 +31,8 @@ from hrfrontier import (
     tree_oracle,
 )
 from conftest import (
+    BENCHMARK_MU,
+    BENCHMARK_SIGMA,
     exact_one_period_oracle,
     random_market,
     random_probs,
@@ -277,6 +280,45 @@ def test_arbitrage_detected_in_hand_built_market():
     )
     with pytest.raises(ArbitrageError):
         special_portfolios(market)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "gram", "G": [[1.0, 0.0], [0.0, 1.0]], "m": [0.0, 1.0], "p": [1.0, 0.0]},
+        {"kind": "universe", "mu": [1.0, -1.0], "sigma": [[1e-10, 0.0], [0.0, 1e-10]]},
+    ],
+    ids=["gram", "universe"],
+)
+def test_a_market_rejected_for_arbitrage_is_never_swept_back(monkeypatch, spec):
+    # The back sweep runs after every check, so a rejected market pays only
+    # its forward sweep.  A universe's hr_sq_x = d/(1+d) reaches 1 - 1e-10 here.
+    sweeps, solve = [], hrfrontier.frontier.triangular_solve
+
+    def counted(tri, rhs, *, lower):
+        sweeps.append(lower)
+        return solve(tri, rhs, lower=lower)
+
+    monkeypatch.setattr(hrfrontier.frontier, "triangular_solve", counted)
+    with pytest.raises(ArbitrageError, match=r"^market admits a \(numerically\) riskless"):
+        market_from_json(spec)
+    assert sweeps == [True]
+
+
+def test_verify_universe_z_is_y_plus_mu_z_x_to_the_last_digits(benchmark_market):
+    # The back sweep uses the record's mu_z, so w_z = w_y + mu_z w_x mixes no
+    # second rounding of mu_z: 1.3e-16 from exact in max norm, where a sweep
+    # with Merton's closed-form mu_z gave 2.6e-15.
+    exact_mu = [Fraction(m) for m in BENCHMARK_MU]
+    gram = [
+        [Fraction(s) + a * b for s, b in zip(row, exact_mu)]
+        for row, a in zip(BENCHMARK_SIGMA, exact_mu)
+    ]
+    exact = exact_one_period_oracle(gram, exact_mu, [1] * 3)
+    sp = special_portfolios(benchmark_market)
+    for name in ("w_y", "w_x", "w_z"):
+        error = max(abs(Fraction(w) - e) for w, e in zip(getattr(sp, name).tolist(), exact[name]))
+        assert error <= 5e-16 * max(map(abs, exact[name])), name
 
 
 def test_unattained_maximum_flag():

@@ -537,3 +537,51 @@ def test_markets_compare_and_hash_by_identity(benchmark_market):
         mean_returns=np.array(BENCHMARK_MU), covariance=np.array(BENCHMARK_SIGMA)
     )
     assert len({benchmark_market, twin, universe, universe}) == 3
+
+
+SEQUENCE_FLOW = {"date": 1, "probabilities": [0.5, 0.5], "values": [[1.0, 2.0]]}
+
+
+def _written(tmp_path, text: str):
+    path = tmp_path / "market.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp_path: gram_from_scenarios([], []), "scenario basis is empty"),
+        (
+            lambda tmp_path: market_from_json(
+                {"kind": "sequence", "beta": 0.5, "horizon": 2, "prices": [1.0], "flows": []}
+            ),
+            "sequence spec lists no cash flows",
+        ),
+        (
+            lambda tmp_path: market_from_json(
+                {
+                    "kind": "sequence",
+                    "beta": 0.5,
+                    "horizon": 2,
+                    "prices": [1.0],
+                    "flows": [
+                        SEQUENCE_FLOW,
+                        {**SEQUENCE_FLOW, "date": 2, "values": [[1.0, 2.0], [2.0, 1.0]]},
+                    ],
+                }
+            ),
+            "inconsistent number of elements across dates",
+        ),
+        (
+            lambda tmp_path: market_from_json(_written(tmp_path, "[1.0, 2.0]")),
+            "market JSON needs a 'kind' field",
+        ),
+    ],
+    ids=["empty-basis", "no-flows", "flows-of-differing-sizes", "list-without-kind"],
+)
+def test_malformed_markets_keep_their_code_and_message(tmp_path, call, message):
+    with pytest.raises(InvalidInputError) as caught:
+        call(tmp_path)
+    assert caught.value.code == "invalid_input" and caught.value.message == message
+
